@@ -428,6 +428,25 @@ mod tests {
         Params::new(w, d, s).unwrap()
     }
 
+    /// Ticks until a tick yields an event, yielding the thread between
+    /// ticks, for at most 10 s. A shrink commits only after the
+    /// process-global epoch advances, which concurrently running tests
+    /// also pin, so no fixed tick count is guaranteed to be enough.
+    fn tick_until_event<S: ElasticTarget, C: Controller>(
+        elastic: &mut Elastic<'_, S, C>,
+    ) -> Option<RetuneEvent> {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(ev) = elastic.tick() {
+                return Some(ev);
+            }
+            if std::time::Instant::now() >= deadline {
+                return None;
+            }
+            stack2d::sync::thread::yield_now();
+        }
+    }
+
     #[test]
     fn tick_applies_script_and_logs_kinds() {
         let stack: Stack2D<u32> =
@@ -451,14 +470,7 @@ mod tests {
         assert_eq!(ev.kind, RetuneKind::Shrink);
         assert_eq!(ev.width, 4);
         // The shrink on an empty tail commits after a few more ticks.
-        let mut committed = None;
-        for _ in 0..64 {
-            if let Some(ev) = elastic.tick() {
-                committed = Some(ev);
-                break;
-            }
-        }
-        let ev = committed.expect("shrink must commit on an empty tail");
+        let ev = tick_until_event(&mut elastic).expect("shrink must commit on an empty tail");
         assert_eq!(ev.kind, RetuneKind::Commit);
         assert_eq!(ev.pop_width, 4);
         assert_eq!(elastic.events().len(), 4);
@@ -552,15 +564,8 @@ mod tests {
             assert!(elastic.tick().is_none(), "commit must wait for the tail");
         }
         while h.pop().is_some() {}
-        let mut committed = false;
-        for _ in 0..64 {
-            if let Some(ev) = elastic.tick() {
-                assert_eq!(ev.kind, RetuneKind::Commit);
-                committed = true;
-                break;
-            }
-        }
-        assert!(committed, "drained tail must let the shrink commit");
+        let ev = tick_until_event(&mut elastic).expect("drained tail must let the shrink commit");
+        assert_eq!(ev.kind, RetuneKind::Commit);
         assert_eq!(stack.k_bound(), p(2, 1, 1).k_bound());
     }
 
@@ -655,9 +660,8 @@ mod tests {
         let ev = elastic.tick().expect("shrink event");
         assert_eq!(ev.kind, RetuneKind::Shrink);
         assert_eq!(ev.pop_width, 8, "dequeues keep covering the retired tail");
-        let committed = (0..64)
-            .find_map(|_| elastic.tick())
-            .expect("empty tail must let the queue shrink commit");
+        let committed =
+            tick_until_event(&mut elastic).expect("empty tail must let the queue shrink commit");
         assert_eq!(committed.kind, RetuneKind::Commit);
         assert_eq!(committed.pop_width, 4);
         // The queue stays fully usable after the schedule.

@@ -1,7 +1,7 @@
-//! Hot-path memory benchmarks for the PR-10 overhaul: the node pool's
-//! pooled-vs-boxed delta on the uncontended op pair, and the batched-ops
-//! (`push_n`/`pop_n`, `enqueue_n`/`dequeue_n`, `add_n`) amortization curve
-//! at batch sizes 1, 8 and 64.
+//! Hot-path memory benchmarks: the uncontended op pair on the (always
+//! pooled) allocation path, and the batched-ops (`push_n`/`pop_n`,
+//! `enqueue_n`/`dequeue_n`, `add_n`) amortization curve at batch sizes 1,
+//! 8 and 64.
 //!
 //! All times are per *element*, so the batch curve reads directly as the
 //! amortization factor: `batch64` should sit well below `batch1` because
@@ -20,40 +20,37 @@ fn deep_params() -> Params {
     Params::new(8, 64, 4).expect("static params are valid")
 }
 
+/// The singular op pair per structure. The ids keep their `-pooled`
+/// suffix so they stay comparable with snapshots taken while a boxed
+/// allocation path still existed beside the pool.
 fn bench_pool_pair(c: &mut Criterion) {
     let mut group = c.benchmark_group("mem_batch/pair");
     group.throughput(Throughput::Elements(1));
-    for pooled in [true, false] {
-        let tag = if pooled { "pooled" } else { "boxed" };
 
-        let stack: Stack2D<u64> =
-            Stack2D::builder().params(deep_params()).node_pool(pooled).build().unwrap();
-        let mut h = stack.handle_seeded(1);
-        group.bench_function(format!("2D-stack-{tag}"), |b| {
-            b.iter(|| {
-                h.push(1);
-                h.pop()
-            });
+    let stack: Stack2D<u64> = Stack2D::builder().params(deep_params()).build().unwrap();
+    let mut h = stack.handle_seeded(1);
+    group.bench_function("2D-stack-pooled", |b| {
+        b.iter(|| {
+            h.push(1);
+            h.pop()
         });
+    });
 
-        let queue: Queue2D<u64> =
-            Queue2D::builder().params(deep_params()).node_pool(pooled).build().unwrap();
-        let mut h = queue.handle_seeded(1);
-        group.bench_function(format!("2D-queue-{tag}"), |b| {
-            b.iter(|| {
-                h.enqueue(1);
-                h.dequeue()
-            });
+    let queue: Queue2D<u64> = Queue2D::builder().params(deep_params()).build().unwrap();
+    let mut h = queue.handle_seeded(1);
+    group.bench_function("2D-queue-pooled", |b| {
+        b.iter(|| {
+            h.enqueue(1);
+            h.dequeue()
         });
+    });
 
-        // The counter allocates nothing per op; its pooled-vs-boxed delta
-        // is the control (expected ~0).
-        let counter = Counter2D::builder().params(deep_params()).node_pool(pooled).build().unwrap();
-        let mut h = counter.handle_seeded(1);
-        group.bench_function(format!("2D-counter-{tag}"), |b| {
-            b.iter(|| h.increment());
-        });
-    }
+    // The counter allocates nothing per op: the allocation-free control.
+    let counter = Counter2D::builder().params(deep_params()).build().unwrap();
+    let mut h = counter.handle_seeded(1);
+    group.bench_function("2D-counter-pooled", |b| {
+        b.iter(|| h.increment());
+    });
     group.finish();
 }
 

@@ -135,7 +135,6 @@ pub struct Builder<S: Buildable> {
     policy: Option<SearchPolicy>,
     hop_on_contention: bool,
     locality: bool,
-    node_pool: bool,
     capacity: Option<usize>,
     seed: Option<u64>,
     recorder: Option<Arc<dyn Recorder>>,
@@ -152,7 +151,6 @@ impl<S: Buildable> fmt::Debug for Builder<S> {
             .field("policy", &self.policy)
             .field("hop_on_contention", &self.hop_on_contention)
             .field("locality", &self.locality)
-            .field("node_pool", &self.node_pool)
             .field("capacity", &self.capacity)
             .field("seed", &self.seed)
             .field("recorder", &self.recorder.is_some())
@@ -174,7 +172,6 @@ impl<S: Buildable> Builder<S> {
             policy: None,
             hop_on_contention: true,
             locality: true,
-            node_pool: true,
             capacity: None,
             seed: None,
             recorder: None,
@@ -366,27 +363,6 @@ impl<S: Buildable> Builder<S> {
         self
     }
 
-    /// Enables/disables the thread-local node pool that recycles retired
-    /// descriptors and list nodes instead of freeing them (default:
-    /// enabled, on all three structures; the counter allocates nothing per
-    /// op, so the knob is inert there). Disable it to get the plain
-    /// allocator behaviour — the pooled/boxed parity tests and the
-    /// `mem_batch` bench compare the two.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::Stack2D;
-    ///
-    /// let s: Stack2D<u8> = Stack2D::builder().width(4).node_pool(false).build().unwrap();
-    /// assert!(!s.config().uses_node_pool());
-    /// ```
-    #[must_use]
-    pub fn node_pool(mut self, enabled: bool) -> Self {
-        self.node_pool = enabled;
-        self
-    }
-
     /// Pre-sizes the sub-structure array to `capacity`, the hard ceiling
     /// for online retunes (the elastic runtime's
     /// [`retune`](crate::ElasticTarget::retune)). Values below the window
@@ -504,8 +480,7 @@ impl<S: Buildable> Builder<S> {
         let mut config = SearchConfig::new(params)
             .search_policy(self.policy.unwrap_or_else(S::default_policy))
             .hop_on_contention(self.hop_on_contention)
-            .locality(self.locality)
-            .node_pool(self.node_pool);
+            .locality(self.locality);
         if let Some(capacity) = self.capacity {
             config = config.max_width(capacity);
         }

@@ -47,13 +47,13 @@ use crossbeam_epoch as epoch;
 use crossbeam_utils::CachePadded;
 
 use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
+use crate::engine::{OpState, Probe, ProbeTarget, Search};
+use crate::metrics::{CounterHub, MetricsSnapshot};
 use crate::params::Params;
 use crate::rng::{HandleSeeder, HopRng};
 use crate::search::{SearchConfig, SearchPolicy};
 use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
+use crate::telemetry::{OpKind, Recorder, ShrinkPhase, TelemetryHook};
 use crate::traits::{ElasticTarget, OpsHandle, RelaxedOps};
 use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 
@@ -202,7 +202,7 @@ impl Counter2D {
     pub fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
         let (info, swung) = self.window.retune(params, self.subs.len())?;
         if swung {
-            self.counters.add(|c| &c.retunes, 1);
+            self.counters.retuned();
             if let Some(r) = self.telemetry.recorder() {
                 r.retune(info);
                 if info.pending_shrink() {
@@ -234,7 +234,7 @@ impl Counter2D {
             }
             true
         })?;
-        self.counters.add(|c| &c.retunes, 1);
+        self.counters.retuned();
         if let Some(r) = self.telemetry.recorder() {
             r.shrink_fence(ShrinkPhase::Committed, info);
         }
@@ -284,28 +284,23 @@ impl Counter2D {
     /// handle RNG is drawn from the deterministic per-structure sequence;
     /// otherwise from thread entropy.
     pub fn handle(&self) -> CounterHandle<'_> {
-        let mut rng = self.seeder.rng();
-        let last = rng.bounded(self.subs.len());
-        CounterHandle {
-            counter: self,
-            last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+        self.handle_with(self.seeder.rng())
     }
 
     /// Registers a handle with a deterministic RNG seed.
     pub fn handle_seeded(&self, seed: u64) -> CounterHandle<'_> {
-        let mut rng = HopRng::seeded(seed);
-        let last = rng.bounded(self.subs.len());
-        CounterHandle {
-            counter: self,
-            last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+        self.handle_with(HopRng::seeded(seed))
+    }
+
+    fn handle_with(&self, rng: HopRng) -> CounterHandle<'_> {
+        let mut ops = OpState::new(&self.counters, &self.telemetry, rng);
+        let last = ops.rng.bounded(self.subs.len());
+        CounterHandle { counter: self, last, ops }
+    }
+
+    /// The search increments run over this counter's window.
+    fn search(&self) -> Search<'_> {
+        Search::new(&self.window, &self.global, &self.config)
     }
 
     /// The aggregate count: the sum of all sub-counters plus the values
@@ -439,18 +434,7 @@ impl RelaxedOps<u64> for Counter2D {
 pub struct CounterHandle<'c> {
     counter: &'c Counter2D,
     last: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Counter2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`](crate::metrics::CounterHub).
-    counters: Arc<OpCounters>,
-}
-
-impl Drop for CounterHandle<'_> {
-    fn drop(&mut self) {
-        self.counter.counters.release(&self.counters);
-    }
+    ops: OpState<'c>,
 }
 
 /// The increment side, as driven by the search engine: a sub-counter is
@@ -463,6 +447,7 @@ struct IncrementSide<'c> {
 impl ProbeTarget for IncrementSide<'_> {
     type Output = ();
     const CONSUMES: bool = false;
+    const OP: OpKind = OpKind::Increment;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -497,35 +482,7 @@ impl ProbeTarget for IncrementSide<'_> {
 impl CounterHandle<'_> {
     /// Adds one to the counter on some window-valid sub-counter.
     pub fn increment(&mut self) {
-        let c = self.counter;
-        let start = c.telemetry.sample_start(&mut self.sampler);
-        // Pin so the shrink fence covers this increment: a retired
-        // sub-counter is only drained after every pinned pre-shrink
-        // operation finished.
-        let guard = epoch::pin();
-        let mut side = IncrementSide { subs: &c.subs };
-        let (done, st) = Search::new(&c.window, &c.global, &c.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "an increment always completes");
-        let m = &*self.counters;
-        m.bump(|c| &c.probes, st.probes);
-        m.bump(|c| &c.cas_failures, st.cas_failures);
-        m.bump(|c| &c.global_restarts, st.restarts);
-        m.bump(|c| &c.shifts_up, st.shifts);
-        m.bump(|c| &c.ops, 1);
-        m.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = c.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Increment, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        self.add(1, false);
     }
 
     /// Adds `n` to the counter, amortizing the window search: after one
@@ -545,39 +502,20 @@ impl CounterHandle<'_> {
     /// assert_eq!(c.value(), 1000);
     /// ```
     pub fn add_n(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
+        self.add(n, true);
+    }
+
+    #[inline(always)]
+    fn add(&mut self, n: usize, batched: bool) {
         let c = self.counter;
-        let start = c.telemetry.sample_start(&mut self.sampler);
-        // Pin so the shrink fence covers these increments (see
-        // `increment`).
-        let guard = epoch::pin();
-        let mut side = IncrementSide { subs: &c.subs };
-        let (done, st) = Search::new(&c.window, &c.global, &c.config).run_batch(
-            &mut side,
+        self.ops.drive(
+            c.search(),
+            &mut IncrementSide { subs: &c.subs },
             n,
+            batched,
             &mut self.last,
-            &mut self.rng,
-            &guard,
+            |()| {},
         );
-        debug_assert_eq!(done.len(), n, "an increment batch always completes in full");
-        let m = &*self.counters;
-        m.bump(|c| &c.probes, st.probes);
-        m.bump(|c| &c.cas_failures, st.cas_failures);
-        m.bump(|c| &c.global_restarts, st.restarts);
-        m.bump(|c| &c.shifts_up, st.shifts);
-        m.bump(|c| &c.ops, n as u64);
-        m.bump(|c| &c.batched_ops, n as u64);
-        m.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = c.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Increment, clock::now_ns().saturating_sub(t0));
-            }
-        }
     }
 }
 
@@ -716,8 +654,7 @@ mod tests {
         let info = c.retune(params(2, 2, 1)).unwrap();
         assert!(info.pending_shrink());
         assert_eq!(c.value(), 1_000, "pending shrink must not lose counts");
-        let committed = (0..64)
-            .find_map(|_| c.try_commit_shrink())
+        let committed = crate::window::retry_until(|| c.try_commit_shrink())
             .expect("quiescent counter shrink must commit");
         assert!(!committed.pending_shrink());
         assert_eq!(c.value(), 1_000, "drain must conserve the value");

@@ -19,7 +19,15 @@
 //!   side's `None` return rests on is only derived from probes belonging to
 //!   the covering sweep — **including step 0** (the PR 3 off-by-one class
 //!   of bug is structurally impossible here);
-//! * the shift/restart decision after an exhausted round.
+//! * the shift/restart decision after an exhausted round;
+//! * the batch drain: after a win, further operations on the won cell, up
+//!   to the window's per-cell budget.
+//!
+//! [`Search::run`] is the only entry point, for singular and batched
+//! operations alike (a singular op is a batch of one), and [`OpState::drive`]
+//! is the only caller: the one op path every public operation of the three
+//! structures funnels through, which wraps the search in the epoch pin,
+//! the handle's counter bumps and the telemetry hooks.
 //!
 //! What *is* structure-specific — how one cell is validated and mutated,
 //! which span of the descriptor a side covers, and which direction the
@@ -44,11 +52,14 @@
 //! applied uniformly to all three structures).
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::Arc;
 
-use crossbeam_epoch::Guard;
+use crossbeam_epoch::{self as epoch, Guard};
 
+use crate::metrics::{bump, CounterHub, HandleCounters};
 use crate::rng::HopRng;
 use crate::search::{Probes, SearchConfig, SearchPolicy};
+use crate::telemetry::{clock, OpKind, Sampler, ShiftDir, TelemetryHook};
 use crate::window::{ElasticWindow, WindowDesc};
 
 /// Verdict of probing one cell under the round's `Global` value.
@@ -77,7 +88,12 @@ pub(crate) trait ProbeTarget {
 
     /// Whether an all-empty covering sweep ends the operation with `None`.
     /// Producing sides retry (shifting the window) until they succeed.
+    /// Also picks the counters a side reports to: consuming sides count
+    /// `shifts_down` and `empty_pops`, producing sides `shifts_up`.
     const CONSUMES: bool;
+
+    /// The op kind this side's sampled latencies are recorded as.
+    const OP: OpKind;
 
     /// The number of cells this side covers under descriptor `w`
     /// (`push_width` for producers, `pop_width` for consumers).
@@ -97,35 +113,37 @@ pub(crate) trait ProbeTarget {
     /// window already resting at its floor).
     fn shift_target(&self, global: usize, live: &WindowDesc) -> Option<usize>;
 
-    /// Stages the side for the next operation of a batched drain
-    /// ([`Search::run_batch`]): producing sides load their next node here
-    /// and return `false` when no items remain. Consuming sides take the
-    /// default (always ready).
+    /// Stages the side for the next operation of a batch: producing sides
+    /// load their next node here and return `false` when no items remain.
+    /// Consuming sides take the default (always ready).
     fn reload(&mut self) -> bool {
         true
     }
 }
 
-/// Event counts of one engine run, in the engine's own vocabulary; the
-/// caller maps them onto its [`OpCounters`](crate::metrics) fields
-/// (`shifts` becomes `shifts_up` or `shifts_down` depending on the side).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SearchStats {
+/// Event counts of one engine run, in the engine's own vocabulary;
+/// [`OpState::drive`] maps them onto the handle's counter
+/// block (`shifts` becomes `shifts_up` or `shifts_down` depending on the
+/// side).
+#[derive(Default)]
+struct SearchStats {
     /// Cells validated.
-    pub probes: u64,
+    probes: u64,
     /// CASes lost on valid cells.
-    pub cas_failures: u64,
+    cas_failures: u64,
     /// Rounds restarted on an observed `Global` change.
-    pub restarts: u64,
+    restarts: u64,
     /// Window shifts won.
-    pub shifts: u64,
+    shifts: u64,
+    /// Operations completed (outputs emitted).
+    done: u64,
     /// Whether a covering sweep concluded `all_empty` (consuming sides).
-    pub empty: bool,
+    empty: bool,
 }
 
 /// One configured search: the window/global pair a side operates on plus
 /// the policy knobs. Construct per operation (it is two references and
-/// three scalars) and [`run`](Search::run).
+/// three scalars) and hand it to [`OpState::drive`].
 pub(crate) struct Search<'a> {
     window: &'a ElasticWindow,
     global: &'a AtomicUsize,
@@ -134,8 +152,10 @@ pub(crate) struct Search<'a> {
     hop_on_contention: bool,
 }
 
-/// How a search round ended (success returns directly from the loop).
+/// How a search round ended.
 enum RoundEnd {
+    /// An operation completed on this cell, and the batch wants more.
+    Won(usize),
     /// `Global` changed mid-round; restart from the observed index.
     GlobalChanged(usize),
     /// A CAS was lost on a valid cell.
@@ -160,21 +180,50 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Runs search rounds until the operation completes: `Some(value)` on
-    /// success, `None` when a covering sweep observed every cell empty (on
-    /// a [`ProbeTarget::CONSUMES`] side; producing sides always succeed).
+    /// Runs search rounds until `max` operations completed, passing each
+    /// output to `emit`. A consuming side returns short when a covering
+    /// sweep observes every cell empty (`stats.empty`); producing sides
+    /// always complete all `max` (they stop early only when
+    /// [`ProbeTarget::reload`] runs dry).
+    ///
+    /// After winning a cell the search keeps **draining that same cell** —
+    /// re-checking `Global` and revalidating the cell before every extra
+    /// item — until `max` operations completed, the cell stops validating,
+    /// or `w.depth` items were taken in the round (the window's per-cell
+    /// budget, which is what keeps a batch inside Theorem 1's `k`: a batch
+    /// never takes more from one cell than the window already permits).
+    /// With `max == 1` the drain is never entered, so a batch of one *is*
+    /// the singular operation: same probe order, same RNG consumption,
+    /// same cell transitions.
     ///
     /// `last` is the handle's locality state (updated on success), `rng`
     /// its hop RNG. Lock-free: a thread only retries when another thread
     /// made progress (won a CAS, shifted the window, or retuned it).
-    pub(crate) fn run<P: ProbeTarget>(
+    ///
+    /// A plain `#[inline]`, unlike [`OpState::drive`]: each op method
+    /// passes its `max` straight in (a constant `1` for the singular ops,
+    /// which lets the compiler fold the drain loop away when it inlines),
+    /// but forcing the whole loop into every op method slowed the batched
+    /// queue path in paired benchmark runs while the singular ops gained
+    /// nothing more.
+    #[inline]
+    fn run<P: ProbeTarget>(
         &self,
         target: &mut P,
+        max: usize,
         last: &mut usize,
         rng: &mut HopRng,
         guard: &Guard,
-    ) -> (Option<P::Output>, SearchStats) {
+        mut emit: impl FnMut(P::Output),
+    ) -> SearchStats {
         let mut stats = SearchStats::default();
+        let max = max as u64;
+        // One retirement fence for the whole batch: every node/descriptor
+        // the drain unlinks buffers inside this scope and is epoch-tagged
+        // when it drops (a later tag than per-op retirement would give —
+        // conservative, so reclamation is only ever delayed). A 1-op batch
+        // has nothing to amortize, so it skips the scope bookkeeping.
+        let _retire_scope = (max > 1).then(|| guard.retire_batch());
         let mut resume: Option<usize> = None;
         loop {
             // Re-read the window descriptor every round: retunes take
@@ -213,7 +262,13 @@ impl<'a> Search<'a> {
                     match target.probe(i, w, global, guard) {
                         Probe::Done(value) => {
                             *last = i;
-                            return (Some(value), stats);
+                            emit(value);
+                            stats.done += 1;
+                            if stats.done >= max || !target.reload() {
+                                return stats;
+                            }
+                            end = RoundEnd::Won(i);
+                            break;
                         }
                         Probe::Contended => {
                             end = RoundEnd::Contention;
@@ -231,6 +286,37 @@ impl<'a> Search<'a> {
                 }
             }
             match end {
+                RoundEnd::Won(i) => {
+                    // Drain the won cell under the round's descriptor; one
+                    // item is already out. Spending the per-round cell
+                    // budget, or the cell no longer validating (window edge
+                    // or exhausted), falls back to a full search round that
+                    // revisits `i` first.
+                    resume = Some(i);
+                    for _ in 1..w.depth {
+                        // Fresh Global per drained item: the validity check
+                        // always runs against the live window position.
+                        let g = self.global.load(Ordering::SeqCst);
+                        stats.probes += 1;
+                        match target.probe(i, w, g, guard) {
+                            Probe::Done(value) => {
+                                emit(value);
+                                stats.done += 1;
+                                if stats.done >= max || !target.reload() {
+                                    return stats;
+                                }
+                            }
+                            Probe::Contended => {
+                                stats.cas_failures += 1;
+                                if self.hop_on_contention {
+                                    resume = Some(rng.bounded(width));
+                                }
+                                break;
+                            }
+                            Probe::Invalid | Probe::Empty => break,
+                        }
+                    }
+                }
                 RoundEnd::GlobalChanged(i) => {
                     stats.restarts += 1;
                     resume = Some(i);
@@ -244,9 +330,9 @@ impl<'a> Search<'a> {
                 RoundEnd::Exhausted => {
                     if P::CONSUMES && all_empty {
                         // A covering sweep under one Global saw only empty
-                        // cells: report empty.
+                        // cells: report empty (a batch ends here, short).
                         stats.empty = true;
-                        return (None, stats);
+                        return stats;
                     }
                     // No valid cell anywhere: propose a window shift. The
                     // live descriptor is re-read so the window never moves
@@ -267,163 +353,86 @@ impl<'a> Search<'a> {
             }
         }
     }
+}
 
-    /// Batched variant of [`Search::run`]: searches exactly like `run`,
-    /// but after winning a cell it keeps **draining that same cell** —
-    /// re-checking `Global` and revalidating the cell before every extra
-    /// item — until `max` operations completed, the cell stops validating,
-    /// or `w.depth` items were taken in the round (the window's per-cell
-    /// budget, which is what keeps a batch inside Theorem 1's `k`: a batch
-    /// never takes more from one cell than the window already permits).
+/// The per-handle state every windowed structure's handle carries — the
+/// hop RNG, the telemetry sampler and the handle's private counter block —
+/// plus the structure-level hub and hook it reports to. Dropping it folds
+/// the block back into the hub.
+pub(crate) struct OpState<'s> {
+    hub: &'s CounterHub,
+    telemetry: &'s TelemetryHook,
+    pub(crate) rng: HopRng,
+    sampler: Sampler,
+    /// Single-writer; summed into the structure's `metrics()` while live,
+    /// folded into the shared block on drop. See [`CounterHub`].
+    counters: Arc<HandleCounters>,
+}
+
+impl<'s> OpState<'s> {
+    /// Registers a fresh counter block with `hub`.
+    pub(crate) fn new(hub: &'s CounterHub, telemetry: &'s TelemetryHook, rng: HopRng) -> Self {
+        OpState { hub, telemetry, rng, sampler: telemetry.sampler(), counters: hub.register() }
+    }
+
+    /// The one op path behind every public operation of the three
+    /// structures: sample start → epoch pin → [`Search::run`] → counter
+    /// bumps → telemetry. `max` is the number of operations (`1` for the
+    /// singular ops); `batched` marks a `_n` call, whose operations also
+    /// count as `batched_ops`. `max == 0` is a no-op that counts nothing.
     ///
-    /// Returns the completed outputs (producers: one `()` per item
-    /// pushed). A consuming side returns short when a covering sweep
-    /// concludes every cell is empty (`stats.empty` is set, as in `run`).
-    /// With `max == 1` the observable effects are exactly `run`'s: same
-    /// probe order, same RNG consumption, same cell transitions.
-    pub(crate) fn run_batch<P: ProbeTarget>(
-        &self,
+    /// Every call counts one `search_rounds`, and `done + empty` `ops`: an
+    /// empty-terminated consume counts its empty observation as one op,
+    /// exactly like the singular consume that returns `None`.
+    #[inline(always)]
+    pub(crate) fn drive<P: ProbeTarget>(
+        &mut self,
+        search: Search<'_>,
         target: &mut P,
         max: usize,
+        batched: bool,
         last: &mut usize,
-        rng: &mut HopRng,
-        guard: &Guard,
-    ) -> (Vec<P::Output>, SearchStats) {
-        let mut stats = SearchStats::default();
-        // archlint: allow(no-raw-alloc-in-hot-path) — one output buffer
-        // for the whole batch, amortized across up to `max` operations.
-        let mut out = Vec::with_capacity(max);
+        emit: impl FnMut(P::Output),
+    ) {
         if max == 0 {
-            return (out, stats);
+            return;
         }
-        // One retirement fence for the whole batch: every node/descriptor
-        // the drain unlinks buffers inside this scope and is epoch-tagged
-        // when it drops (a later tag than per-op retirement would give —
-        // conservative, so reclamation is only ever delayed). A 1-op batch
-        // has nothing to amortize, so it skips the scope bookkeeping and
-        // stays on exactly `run`'s retirement path.
-        let _retire_scope = (max > 1).then(|| guard.retire_batch());
-        let mut resume: Option<usize> = None;
-        loop {
-            let w = self.window.load(guard);
-            let width = target.span(w);
-            let at = match resume.take() {
-                Some(s) => s % width,
-                None if self.locality => *last % width,
-                None => rng.bounded(width),
-            };
-            let global = self.global.load(Ordering::SeqCst);
-            let mut all_empty = true;
-            let mut end = RoundEnd::Exhausted;
-            // The cell the search round succeeded on, drained below once
-            // the probe iterator (and its rng borrow) is released.
-            let mut won: Option<usize> = None;
-            {
-                let mut probes = Probes::new(self.policy, width, at, rng);
-                let mut probe_no = 0;
-                #[allow(clippy::while_let_on_iterator)]
-                while let Some(i) = probes.next() {
-                    stats.probes += 1;
-                    let in_coverage = probes.in_coverage(probe_no);
-                    probe_no += 1;
-                    if self.global.load(Ordering::SeqCst) != global {
-                        end = RoundEnd::GlobalChanged(i);
-                        break;
-                    }
-                    match target.probe(i, w, global, guard) {
-                        Probe::Done(value) => {
-                            *last = i;
-                            // archlint: allow(no-raw-alloc-in-hot-path) —
-                            // pre-sized push into the batch buffer.
-                            out.push(value);
-                            if out.len() >= max || !target.reload() {
-                                return (out, stats);
-                            }
-                            won = Some(i);
-                            break;
-                        }
-                        Probe::Contended => {
-                            end = RoundEnd::Contention;
-                            break;
-                        }
-                        Probe::Invalid => {
-                            if in_coverage {
-                                all_empty = false;
-                            }
-                        }
-                        Probe::Empty => {}
-                    }
-                }
+        let start = self.telemetry.sample_start(&mut self.sampler);
+        // The pin also puts the operation inside the shrink fence: a
+        // retired cell is only committed after every pinned pre-shrink
+        // operation finished.
+        let guard = epoch::pin();
+        let st = search.run(target, max, last, &mut self.rng, &guard, emit);
+        let c = &*self.counters;
+        let (shifts, dir) = if P::CONSUMES {
+            (&c.shifts_down, ShiftDir::Down)
+        } else {
+            (&c.shifts_up, ShiftDir::Up)
+        };
+        let ops = st.done + u64::from(st.empty);
+        bump(&c.probes, st.probes);
+        bump(&c.cas_failures, st.cas_failures);
+        bump(&c.global_restarts, st.restarts);
+        bump(shifts, st.shifts);
+        bump(&c.empty_pops, u64::from(st.empty));
+        bump(&c.ops, ops);
+        if batched {
+            bump(&c.batched_ops, ops);
+        }
+        bump(&c.search_rounds, 1);
+        if let Some(r) = self.telemetry.recorder() {
+            if st.shifts > 0 {
+                r.window_shift(dir, st.shifts);
             }
-            if let Some(i) = won {
-                // Drain the won cell under the round's descriptor; one
-                // item is already out.
-                let mut drained = 1usize;
-                loop {
-                    if drained >= w.depth {
-                        // Per-round cell budget spent; search again (the
-                        // next round revisits `i` first via locality).
-                        resume = Some(i);
-                        break;
-                    }
-                    // Fresh Global per drained item: the validity check
-                    // below always runs against the live window position.
-                    let g = self.global.load(Ordering::SeqCst);
-                    stats.probes += 1;
-                    match target.probe(i, w, g, guard) {
-                        Probe::Done(value) => {
-                            // archlint: allow(no-raw-alloc-in-hot-path) —
-                            // pre-sized push into the batch buffer.
-                            out.push(value);
-                            drained += 1;
-                            if out.len() >= max || !target.reload() {
-                                return (out, stats);
-                            }
-                        }
-                        Probe::Contended => {
-                            stats.cas_failures += 1;
-                            resume =
-                                Some(if self.hop_on_contention { rng.bounded(width) } else { i });
-                            break;
-                        }
-                        // The cell stopped validating (window edge or
-                        // exhausted): fall back to a full search round.
-                        Probe::Invalid | Probe::Empty => {
-                            resume = Some(i);
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-            match end {
-                RoundEnd::GlobalChanged(i) => {
-                    stats.restarts += 1;
-                    resume = Some(i);
-                }
-                RoundEnd::Contention => {
-                    stats.cas_failures += 1;
-                    resume = Some(if self.hop_on_contention { rng.bounded(width) } else { at });
-                }
-                RoundEnd::Exhausted => {
-                    if P::CONSUMES && all_empty {
-                        // Every cell empty under one Global: the batch ends
-                        // here, possibly short.
-                        stats.empty = true;
-                        return (out, stats);
-                    }
-                    let live = self.window.load(guard);
-                    if let Some(next) = target.shift_target(global, live) {
-                        if self
-                            .global
-                            .compare_exchange(global, next, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                        {
-                            stats.shifts += 1;
-                        }
-                    }
-                }
+            if let Some(t0) = start {
+                r.op_sample(P::OP, clock::now_ns().saturating_sub(t0));
             }
         }
+    }
+}
+
+impl Drop for OpState<'_> {
+    fn drop(&mut self) {
+        self.hub.release(&self.counters);
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! The hot-path memory overhaul relies on every independently-written
 //! shared word sitting on its own cache line: the window descriptor, the
-//! per-lane sub-structure slots, and each field of a handle's private
-//! counter block. These tests turn that assumption into a compile-visible
-//! contract — if a refactor drops a `CachePadded` wrapper or packs two
-//! counters onto one line, the suite fails here instead of showing up as a
-//! silent throughput regression on the next benchmark snapshot.
+//! per-lane sub-structure slots, and each handle's private counter block.
+//! These tests turn that assumption into a compile-visible contract — if a
+//! refactor drops a `CachePadded` wrapper or lets two handles' blocks
+//! share a line, the suite fails here instead of showing up as a silent
+//! throughput regression on the next benchmark snapshot.
 
 #![cfg(test)]
 
-use crate::metrics::OpCounters;
+use crate::metrics::{HandleCounters, OpCounters};
 use crate::substack::SubStack;
 use crate::sync::atomic::AtomicU64;
 use crate::window::ElasticWindow;
@@ -33,13 +33,17 @@ fn cache_padded_granule_is_a_real_cache_line() {
 }
 
 #[test]
-fn op_counter_fields_each_own_a_line() {
-    // One padded slot per counter, no two fields folded together. The
-    // field count is pinned so adding a counter forces this test (and the
+fn op_counter_block_fills_one_granule() {
+    // A handle's block is written by that handle alone, so its fields
+    // share one padded granule: one line per op instead of one per field,
+    // and still never a line shared with another handle's block. The field
+    // count is pinned so adding a counter forces this test (and the
     // snapshot/merge plumbing) to be revisited together.
     const FIELDS: usize = 10;
-    assert_eq!(size_of::<OpCounters>(), FIELDS * size_of::<CachePadded<AtomicU64>>());
-    assert_eq!(align_of::<OpCounters>(), line());
+    assert_eq!(size_of::<OpCounters>(), FIELDS * size_of::<AtomicU64>());
+    assert!(size_of::<OpCounters>() <= line(), "the block must fit one granule");
+    assert_eq!(size_of::<HandleCounters>(), line());
+    assert_eq!(align_of::<HandleCounters>(), line());
 }
 
 #[test]
@@ -54,8 +58,8 @@ fn window_descriptor_word_is_isolated() {
 fn sub_structure_lanes_do_not_share_lines() {
     // A lane slot (`CachePadded<SubStack<T>>`) must occupy a whole number
     // of padding granules so adjacent lanes in the `Box<[_]>` never split
-    // a line, and the unpadded payload must still fit inside one granule
-    // (a descriptor pointer plus the pooling flag).
+    // a line, and the unpadded payload (a descriptor pointer) must still
+    // fit inside one granule.
     assert!(size_of::<SubStack<u64>>() <= line());
     assert_eq!(size_of::<CachePadded<SubStack<u64>>>(), line());
     assert_eq!(align_of::<CachePadded<SubStack<u64>>>(), line());

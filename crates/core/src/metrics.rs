@@ -27,69 +27,76 @@ use core::fmt;
 
 use crossbeam_utils::CachePadded;
 
-/// Internal counter block owned by each windowed structure
+/// A counter block: one word per event kind. Each windowed structure
 /// ([`Stack2D`](crate::Stack2D), [`Queue2D`](crate::Queue2D),
-/// [`Counter2D`](crate::Counter2D)).
+/// [`Counter2D`](crate::Counter2D)) owns a shared one in its
+/// [`CounterHub`], and every live handle owns a private [`HandleCounters`].
 #[derive(Debug, Default)]
 pub(crate) struct OpCounters {
     /// Descriptor CASes lost to another thread.
-    pub cas_failures: CachePadded<AtomicU64>,
+    pub cas_failures: AtomicU64,
     /// Sub-stack validations performed (window checks).
-    pub probes: CachePadded<AtomicU64>,
+    pub probes: AtomicU64,
     /// Successful `Global` raises (push side).
-    pub shifts_up: CachePadded<AtomicU64>,
+    pub shifts_up: AtomicU64,
     /// Successful `Global` lowers (pop side).
-    pub shifts_down: CachePadded<AtomicU64>,
+    pub shifts_down: AtomicU64,
     /// Search rounds abandoned because `Global` changed mid-search.
-    pub global_restarts: CachePadded<AtomicU64>,
+    pub global_restarts: AtomicU64,
     /// Pops that returned `None` after a covering sweep saw all empty.
-    pub empty_pops: CachePadded<AtomicU64>,
+    pub empty_pops: AtomicU64,
     /// Completed operations (pushes + pops, including empty pops).
-    pub ops: CachePadded<AtomicU64>,
+    pub ops: AtomicU64,
     /// Operations completed inside a batched call (`push_n`/`pop_n`);
     /// a subset of `ops`.
-    pub batched_ops: CachePadded<AtomicU64>,
+    pub batched_ops: AtomicU64,
     /// Engine invocations (one per `push`/`pop`/`increment` and one per
     /// whole batched call) — the denominator that keeps per-search-round
     /// rates honest under batching.
-    pub search_rounds: CachePadded<AtomicU64>,
+    pub search_rounds: AtomicU64,
     /// Window-descriptor swings (retunes and shrink commits).
-    pub retunes: CachePadded<AtomicU64>,
+    pub retunes: AtomicU64,
+}
+
+/// A handle's private counter block: the whole [`OpCounters`] on one
+/// padding granule. Only the owning handle writes it, so its fields need
+/// no isolation from each other — only from every other handle's block.
+pub(crate) type HandleCounters = CachePadded<OpCounters>;
+
+/// Multi-writer add (the hub's shared block).
+#[inline]
+fn add(field: &AtomicU64, n: u64) {
+    if n > 0 {
+        field.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Single-writer add for per-handle blocks ([`CounterHub::register`]):
+/// only the owning handle ever writes the block, so a relaxed load+store
+/// replaces the locked read-modify-write — the difference is most of the
+/// metrics overhead of an uncontended op.
+#[inline]
+pub(crate) fn bump(field: &AtomicU64, n: u64) {
+    if n > 0 {
+        field.store(field.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
 }
 
 impl OpCounters {
-    #[inline]
-    pub(crate) fn add(&self, field: impl Fn(&Self) -> &CachePadded<AtomicU64>, n: u64) {
-        if n > 0 {
-            field(self).fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Single-writer add for per-handle blocks ([`CounterHub::register`]):
-    /// only the owning handle ever writes the block, so a relaxed
-    /// load+store replaces the locked read-modify-write — the difference
-    /// is most of the metrics overhead of an uncontended op.
-    #[inline]
-    pub(crate) fn bump(&self, field: impl Fn(&Self) -> &CachePadded<AtomicU64>, n: u64) {
-        if n > 0 {
-            let f = field(self);
-            f.store(f.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
-        }
-    }
-
     /// Folds this block into `base` (handle drop: the retiring handle's
     /// counts move to the structure's shared block).
     fn merge_into(&self, base: &OpCounters) {
-        base.add(|c| &c.cas_failures, self.cas_failures.load(Ordering::Relaxed));
-        base.add(|c| &c.probes, self.probes.load(Ordering::Relaxed));
-        base.add(|c| &c.shifts_up, self.shifts_up.load(Ordering::Relaxed));
-        base.add(|c| &c.shifts_down, self.shifts_down.load(Ordering::Relaxed));
-        base.add(|c| &c.global_restarts, self.global_restarts.load(Ordering::Relaxed));
-        base.add(|c| &c.empty_pops, self.empty_pops.load(Ordering::Relaxed));
-        base.add(|c| &c.ops, self.ops.load(Ordering::Relaxed));
-        base.add(|c| &c.batched_ops, self.batched_ops.load(Ordering::Relaxed));
-        base.add(|c| &c.search_rounds, self.search_rounds.load(Ordering::Relaxed));
-        base.add(|c| &c.retunes, self.retunes.load(Ordering::Relaxed));
+        let s = self.snapshot();
+        add(&base.cas_failures, s.cas_failures);
+        add(&base.probes, s.probes);
+        add(&base.shifts_up, s.shifts_up);
+        add(&base.shifts_down, s.shifts_down);
+        add(&base.global_restarts, s.global_restarts);
+        add(&base.empty_pops, s.empty_pops);
+        add(&base.ops, s.ops);
+        add(&base.batched_ops, s.batched_ops);
+        add(&base.search_rounds, s.search_rounds);
+        add(&base.retunes, s.retunes);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
@@ -106,30 +113,16 @@ impl OpCounters {
             retunes: self.retunes.load(Ordering::Relaxed),
         }
     }
-
-    #[cfg(test)]
-    pub(crate) fn reset(&self) {
-        self.cas_failures.store(0, Ordering::Relaxed);
-        self.probes.store(0, Ordering::Relaxed);
-        self.shifts_up.store(0, Ordering::Relaxed);
-        self.shifts_down.store(0, Ordering::Relaxed);
-        self.global_restarts.store(0, Ordering::Relaxed);
-        self.empty_pops.store(0, Ordering::Relaxed);
-        self.ops.store(0, Ordering::Relaxed);
-        self.batched_ops.store(0, Ordering::Relaxed);
-        self.search_rounds.store(0, Ordering::Relaxed);
-        self.retunes.store(0, Ordering::Relaxed);
-    }
 }
 
 /// The counter state a windowed structure owns: one shared block for
 /// structure-level events (retunes) and retired handles, plus one
 /// **per-handle** block per live handle.
 ///
-/// Handles write only their own block ([`OpCounters::bump`] — plain
-/// relaxed load+store, no locked read-modify-write), which removes the
-/// per-op atomic-RMW tax *and* the false-sharing between handles that a
-/// single shared block would cost under contention. [`CounterHub::snapshot`]
+/// Handles write only their own block ([`bump`] — plain relaxed
+/// load+store, no locked read-modify-write), which removes the per-op
+/// atomic-RMW tax *and* the false-sharing between handles that a single
+/// shared block would cost under contention. [`CounterHub::snapshot`]
 /// sums base + live blocks, so `metrics()` stays exact at every instant;
 /// a dropped handle folds its block into the base first.
 #[derive(Debug, Default)]
@@ -140,7 +133,7 @@ pub(crate) struct CounterHub {
 
 #[derive(Debug, Default)]
 struct HubInner {
-    locals: Vec<Arc<OpCounters>>,
+    locals: Vec<Arc<HandleCounters>>,
     /// Raw totals at the last [`CounterHub::reset`]: per-handle blocks are
     /// single-writer and must never be stored to from outside, so a reset
     /// subtracts instead of zeroing.
@@ -148,25 +141,24 @@ struct HubInner {
 }
 
 impl CounterHub {
-    /// Structure-level events (retunes, shrink commits) — multi-writer,
-    /// goes to the shared base block.
-    #[inline]
-    pub(crate) fn add(&self, field: impl Fn(&OpCounters) -> &CachePadded<AtomicU64>, n: u64) {
-        self.base.add(field, n);
+    /// Counts one window-descriptor swing (a retune or shrink commit) —
+    /// structure-level and multi-writer, so it goes to the shared block.
+    pub(crate) fn retuned(&self) {
+        add(&self.base.retunes, 1);
     }
 
     /// A fresh per-handle block, summed into snapshots while registered.
     /// The caller must pass it back to [`CounterHub::release`] when the
     /// handle drops.
-    pub(crate) fn register(&self) -> Arc<OpCounters> {
-        let block = Arc::new(OpCounters::default());
+    pub(crate) fn register(&self) -> Arc<HandleCounters> {
+        let block = Arc::new(HandleCounters::default());
         self.inner.lock().locals.push(Arc::clone(&block));
         block
     }
 
     /// Unregisters a handle's block, folding its counts into the base so
     /// totals are unaffected by the handle's lifetime.
-    pub(crate) fn release(&self, block: &Arc<OpCounters>) {
+    pub(crate) fn release(&self, block: &Arc<HandleCounters>) {
         let mut inner = self.inner.lock();
         if let Some(i) = inner.locals.iter().position(|b| Arc::ptr_eq(b, block)) {
             inner.locals.swap_remove(i);
@@ -378,16 +370,23 @@ mod tests {
 
     #[test]
     fn counters_snapshot_and_reset() {
-        let c = OpCounters::default();
-        c.add(|c| &c.probes, 7);
-        c.add(|c| &c.ops, 2);
-        c.add(|c| &c.cas_failures, 0); // no-op
-        let snap = c.snapshot();
-        assert_eq!(snap.probes, 7);
+        let hub = CounterHub::default();
+        let c = hub.register();
+        bump(&c.global_restarts, 7);
+        bump(&c.ops, 2);
+        bump(&c.cas_failures, 0); // no-op
+        let snap = hub.snapshot();
+        assert_eq!(snap.global_restarts, 7);
         assert_eq!(snap.ops, 2);
         assert_eq!(snap.cas_failures, 0);
-        c.reset();
-        assert_eq!(c.snapshot(), MetricsSnapshot::default());
+        hub.reset();
+        assert_eq!(hub.snapshot(), MetricsSnapshot::default());
+        // Releasing the handle block folds its counts into the base
+        // without disturbing the reset point.
+        bump(&c.ops, 3);
+        hub.release(&c);
+        assert_eq!(hub.snapshot().ops, 3);
+        assert_eq!(hub.snapshot().global_restarts, 0);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   [`recycle`] degrades to a plain `dealloc` during thread teardown when
 //!   the thread-local is already gone.
 //!
-//! The pool is enabled per structure with
-//! [`Builder::node_pool`](crate::Builder::node_pool) (default on); a
-//! disabled structure routes the same call sites through the plain boxed
-//! path, which is how the parity tests compare the two.
+//! The pool is unconditional: every per-op node and descriptor of the
+//! three structures (and of a standalone [`SubStack`](crate::substack::SubStack))
+//! is allocated with [`alloc`] and retired through [`recycle`]; [`boxed`]
+//! is only the pool-miss fallback.
 
 use core::alloc::Layout;
 use core::cell::Cell;
@@ -198,12 +198,11 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
     boxed(value)
 }
 
-/// The plain allocator path (also the pool-miss fallback): every pool
-/// block is born here, which is what keeps boxed and pooled blocks
-/// interchangeable. Structures built with `.node_pool(false)` route all
-/// their allocations through this.
+/// The plain allocator path, taken on a pool miss: every pool block is
+/// born here, which is what keeps boxed and pooled blocks
+/// interchangeable.
 #[inline]
-pub(crate) fn boxed<T>(value: T) -> *mut T {
+fn boxed<T>(value: T) -> *mut T {
     Box::into_raw(Box::new(value))
 }
 
@@ -237,23 +236,6 @@ pub(crate) unsafe fn recycle<T>(p: *mut ()) {
     // originates from `Box::into_raw`) with exactly this layout, and the
     // caller's contract gives us exclusive ownership of it.
     unsafe { std::alloc::dealloc(block, layout) };
-}
-
-/// Frees a retired block of type `T` without running drop glue — the
-/// unpooled counterpart of [`recycle`], usable as the same epoch destroy
-/// hook. For blocks whose pointee drop is storage-only (descriptors, nodes
-/// with already-consumed `ManuallyDrop` values) this is exactly what
-/// `drop(Box::from_raw(p))` would do.
-///
-/// # Safety
-///
-/// Same contract as [`recycle`]: `p` must be a block of layout
-/// `Layout::new::<T>()` from [`alloc`]/[`boxed`], retired exactly once,
-/// with its `T` value already consumed.
-pub(crate) unsafe fn free_block<T>(p: *mut ()) {
-    // SAFETY: forwarded caller contract — exclusive allocator-owned block
-    // of exactly this layout.
-    unsafe { std::alloc::dealloc(p.cast::<u8>(), Layout::new::<T>()) };
 }
 
 /// Process-wide pool traffic counters (see [`pool_stats`]).

@@ -57,14 +57,14 @@ use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Pointer, Shared};
 use crossbeam_utils::CachePadded;
 
 use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
+use crate::engine::{OpState, Probe, ProbeTarget, Search};
+use crate::metrics::{CounterHub, MetricsSnapshot};
 use crate::params::Params;
 use crate::pool;
 use crate::rng::{HandleSeeder, HopRng};
 use crate::search::{SearchConfig, SearchPolicy};
 use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
+use crate::telemetry::{OpKind, Recorder, ShrinkPhase, TelemetryHook};
 use crate::traits::{ElasticTarget, OpsHandle, RelaxedOps};
 use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 
@@ -97,8 +97,6 @@ struct PutLane<T> {
 struct SubQueue<T> {
     get: CachePadded<GetLane<T>>,
     put: CachePadded<PutLane<T>>,
-    /// Whether nodes are drawn from (and retired to) the node pool.
-    pooled: bool,
 }
 
 // SAFETY: the queue owns its nodes and transfers values across threads only
@@ -110,16 +108,7 @@ unsafe impl<T: Send> Sync for SubQueue<T> {}
 
 impl<T> SubQueue<T> {
     fn new() -> Self {
-        Self::with_pool(false)
-    }
-
-    /// A sub-queue whose nodes cycle through the node pool (see `pool.rs`).
-    fn new_pooled() -> Self {
-        Self::with_pool(true)
-    }
-
-    fn with_pool(pooled: bool) -> Self {
-        let dummy = alloc_qnode(MaybeUninit::uninit(), pooled);
+        let dummy = alloc_qnode(MaybeUninit::uninit());
         // SAFETY: construction is single-threaded — nothing else can touch
         // the queue yet, satisfying the unprotected guard's exclusivity.
         let guard = unsafe { epoch::unprotected() };
@@ -127,7 +116,6 @@ impl<T> SubQueue<T> {
         SubQueue {
             get: CachePadded::new(GetLane { head: Atomic::from(dummy), deq: AtomicUsize::new(0) }),
             put: CachePadded::new(PutLane { tail: Atomic::from(dummy), enq: AtomicUsize::new(0) }),
-            pooled,
         }
     }
 
@@ -197,18 +185,13 @@ impl<T> SubQueue<T> {
                 // deallocation cannot double-drop it. `next` stays alive
                 // under the guard.
                 let value = unsafe { ptr::read(next.deref().value.as_ptr()) };
-                if self.pooled {
-                    // SAFETY: the old dummy was unlinked by our CAS; only
-                    // the winner retires it, exactly once. Its value slot is
-                    // uninitialized (moved out or never set), so recycling
-                    // the storage without running drop glue is complete
-                    // reclamation, and every node originates from
-                    // `Box::into_raw` as `pool::recycle` requires.
-                    unsafe { guard.defer_destroy_with(head, pool::recycle::<QNode<T>>) };
-                } else {
-                    // SAFETY: as above; only the winner retires it.
-                    unsafe { guard.defer_destroy(head) };
-                }
+                // SAFETY: the old dummy was unlinked by our CAS; only the
+                // winner retires it, exactly once. Its value slot is
+                // uninitialized (moved out or never set), so recycling the
+                // storage without running drop glue is complete
+                // reclamation, and every node originates from
+                // `Box::into_raw` as `pool::recycle` requires.
+                unsafe { guard.defer_destroy_with(head, pool::recycle::<QNode<T>>) };
                 self.get.deq.fetch_add(1, Ordering::AcqRel);
                 Ok(Some(value))
             }
@@ -229,12 +212,11 @@ impl<T> SubQueue<T> {
     }
 }
 
-/// Stages a value into an MS-queue node on the configured allocation path.
+/// Stages a value into an MS-queue node drawn from the node pool.
 #[inline]
-fn alloc_qnode<T>(value: MaybeUninit<T>, pooled: bool) -> Owned<QNode<T>> {
-    let node = QNode { value, next: Atomic::null() };
-    let raw = if pooled { pool::alloc(node) } else { pool::boxed(node) };
-    // SAFETY: both paths hand back a unique, properly initialized block that
+fn alloc_qnode<T>(value: MaybeUninit<T>) -> Owned<QNode<T>> {
+    let raw = pool::alloc(QNode { value, next: Atomic::null() });
+    // SAFETY: the pool hands back a unique, properly initialized block that
     // originated from `Box::into_raw`, which is exactly `Owned`'s contract.
     unsafe { Owned::from_raw_ptr(raw) }
 }
@@ -344,15 +326,8 @@ impl<T> Queue2D<T> {
 
     pub(crate) fn from_builder_parts(config: SearchConfig, seed: Option<u64>) -> Self {
         let params = config.params();
-        let capacity = config.capacity();
-        let make_sub =
-            if config.uses_node_pool() { SubQueue::new_pooled } else { SubQueue::new as fn() -> _ };
-        let subs = (0..capacity)
-            .map(|_| CachePadded::new(make_sub()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Queue2D {
-            subs,
+            subs: (0..config.capacity()).map(|_| CachePadded::new(SubQueue::new())).collect(),
             put_global: CachePadded::new(AtomicUsize::new(params.initial_global())),
             get_global: CachePadded::new(AtomicUsize::new(params.initial_global())),
             put: ElasticWindow::new(params),
@@ -495,7 +470,7 @@ impl<T> Queue2D<T> {
         let (info, get_swung) = self.get.retune(params, capacity)?;
         if put_swung || get_swung {
             // One logical retune, however many descriptors swung.
-            self.counters.add(|c| &c.retunes, 1);
+            self.counters.retuned();
             if let Some(r) = self.telemetry.recorder() {
                 r.retune(info);
                 if info.pending_shrink() {
@@ -518,7 +493,7 @@ impl<T> Queue2D<T> {
         let info = self
             .get
             .try_commit_shrink(|tail, guard| self.subs[tail].iter().all(|s| s.is_empty(guard)))?;
-        self.counters.add(|c| &c.retunes, 1);
+        self.counters.retuned();
         if let Some(r) = self.telemetry.recorder() {
             r.shrink_fence(ShrinkPhase::Committed, info);
         }
@@ -531,30 +506,18 @@ impl<T> Queue2D<T> {
     /// handle RNG is drawn from the deterministic per-structure sequence;
     /// otherwise from thread entropy.
     pub fn handle(&self) -> QueueHandle<'_, T> {
-        let mut rng = self.seeder.rng();
-        let last = rng.bounded(self.subs.len());
-        QueueHandle {
-            queue: self,
-            last_put: last,
-            last_get: last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+        self.handle_with(self.seeder.rng())
     }
 
     /// Registers a handle with a deterministic RNG seed.
     pub fn handle_seeded(&self, seed: u64) -> QueueHandle<'_, T> {
-        let mut rng = HopRng::seeded(seed);
-        let last = rng.bounded(self.subs.len());
-        QueueHandle {
-            queue: self,
-            last_put: last,
-            last_get: last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+        self.handle_with(HopRng::seeded(seed))
+    }
+
+    fn handle_with(&self, rng: HopRng) -> QueueHandle<'_, T> {
+        let mut ops = OpState::new(&self.counters, &self.telemetry, rng);
+        let last = ops.rng.bounded(self.subs.len());
+        QueueHandle { queue: self, last_put: last, last_get: last, ops }
     }
 
     /// Current value of the put window's `Global` counter (diagnostic).
@@ -581,6 +544,16 @@ impl<T> Queue2D<T> {
     pub fn is_empty(&self) -> bool {
         let guard = epoch::pin();
         self.subs.iter().all(|s| s.is_empty(&guard))
+    }
+
+    /// The search enqueues run over the put window.
+    fn put_search(&self) -> Search<'_> {
+        Search::new(&self.put, &self.put_global, &self.config)
+    }
+
+    /// The search dequeues run over the get window.
+    fn get_search(&self) -> Search<'_> {
+        Search::new(&self.get, &self.get_global, &self.config)
     }
 
     /// Enqueue through an ephemeral handle.
@@ -689,17 +662,22 @@ impl<T: Send> RelaxedOps<T> for Queue2D<T> {
 struct PutEnd<'q, T> {
     subs: &'q [CachePadded<SubQueue<T>>],
     node: Option<Owned<QNode<T>>>,
-    /// Remaining values of a batched enqueue, in reverse order (popped
-    /// from the back as [`ProbeTarget::reload`] stages them). Empty for a
-    /// singular enqueue.
-    pending: Vec<T>,
-    /// Whether staged nodes draw from the node pool.
-    pooled: bool,
+    /// Remaining values of a batched enqueue, staged one at a time by
+    /// [`ProbeTarget::reload`]. Empty for a singular enqueue.
+    rest: std::vec::IntoIter<T>,
+}
+
+impl<'q, T> PutEnd<'q, T> {
+    /// A put end staging `first`, then `rest` in order.
+    fn new(subs: &'q [CachePadded<SubQueue<T>>], first: T, rest: std::vec::IntoIter<T>) -> Self {
+        PutEnd { subs, node: Some(alloc_qnode(MaybeUninit::new(first))), rest }
+    }
 }
 
 impl<T> ProbeTarget for PutEnd<'_, T> {
     type Output = ();
     const CONSUMES: bool = false;
+    const OP: OpKind = OpKind::Enqueue;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -730,13 +708,8 @@ impl<T> ProbeTarget for PutEnd<'_, T> {
 
     fn reload(&mut self) -> bool {
         debug_assert!(self.node.is_none(), "reload with a node still staged");
-        match self.pending.pop() {
-            Some(v) => {
-                self.node = Some(alloc_qnode(MaybeUninit::new(v), self.pooled));
-                true
-            }
-            None => false,
-        }
+        self.node = self.rest.next().map(|v| alloc_qnode(MaybeUninit::new(v)));
+        self.node.is_some()
     }
 }
 
@@ -751,6 +724,7 @@ struct GetEnd<'q, T> {
 impl<T> ProbeTarget for GetEnd<'_, T> {
     type Output = T;
     const CONSUMES: bool = true;
+    const OP: OpKind = OpKind::Dequeue;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.pop_width
@@ -787,51 +761,15 @@ pub struct QueueHandle<'q, T> {
     queue: &'q Queue2D<T>,
     last_put: usize,
     last_get: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Queue2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`](crate::metrics::CounterHub).
-    counters: Arc<OpCounters>,
-}
-
-impl<T> Drop for QueueHandle<'_, T> {
-    fn drop(&mut self) {
-        self.queue.counters.release(&self.counters);
-    }
+    ops: OpState<'q>,
 }
 
 impl<T> QueueHandle<'_, T> {
     /// Enqueues `value` on some window-valid sub-queue.
     pub fn enqueue(&mut self, value: T) {
         let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = q.config.uses_node_pool();
-        let node = alloc_qnode(MaybeUninit::new(value), pooled);
-        let mut end = PutEnd { subs: &q.subs, node: Some(node), pending: Vec::new(), pooled };
-        let (done, st) = Search::new(&q.put, &q.put_global, &q.config).run(
-            &mut end,
-            &mut self.last_put,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "an enqueue always completes");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Enqueue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut end = PutEnd::new(&q.subs, value, Vec::new().into_iter());
+        self.ops.drive(q.put_search(), &mut end, 1, false, &mut self.last_put, |()| {});
     }
 
     /// Enqueues every value in `values`, amortizing the window search:
@@ -852,74 +790,28 @@ impl<T> QueueHandle<'_, T> {
     /// ```
     pub fn enqueue_n(&mut self, values: Vec<T>) {
         let n = values.len();
-        if n == 0 {
-            return;
-        }
+        let mut rest = values.into_iter();
+        let Some(first) = rest.next() else { return };
         let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = q.config.uses_node_pool();
-        let mut pending = values;
-        pending.reverse();
-        // archlint: allow(no-panic-in-hot-path) — `values` is non-empty here
-        // because the n == 0 case returned above, so the pop cannot fail.
-        let node = alloc_qnode(MaybeUninit::new(pending.pop().expect("n > 0")), pooled);
-        let mut end = PutEnd { subs: &q.subs, node: Some(node), pending, pooled };
-        let (done, st) = Search::new(&q.put, &q.put_global, &q.config).run_batch(
-            &mut end,
-            n,
-            &mut self.last_put,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert_eq!(done.len(), n, "an enqueue batch always completes in full");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, n as u64);
-        c.bump(|c| &c.batched_ops, n as u64);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Enqueue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut end = PutEnd::new(&q.subs, first, rest);
+        self.ops.drive(q.put_search(), &mut end, n, true, &mut self.last_put, |()| {});
     }
 
     /// Dequeues an item; `None` when a covering sweep saw every sub-queue
     /// empty.
     pub fn dequeue(&mut self) -> Option<T> {
         let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut end = GetEnd { subs: &q.subs };
-        let (out, st) = Search::new(&q.get, &q.get_global, &q.config).run(
-            &mut end,
+        let mut out = None;
+        self.ops.drive(
+            q.get_search(),
+            &mut GetEnd { subs: &q.subs },
+            1,
+            false,
             &mut self.last_get,
-            &mut self.rng,
-            &guard,
+            |v| {
+                out = Some(v);
+            },
         );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Dequeue, clock::now_ns().saturating_sub(t0));
-            }
-        }
         out
     }
 
@@ -939,41 +831,18 @@ impl<T> QueueHandle<'_, T> {
     /// assert_eq!(q.handle().dequeue_n(64).len(), 10);
     /// ```
     pub fn dequeue_n(&mut self, max: usize) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
         let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut end = GetEnd { subs: &q.subs };
-        let (out, st) = Search::new(&q.get, &q.get_global, &q.config).run_batch(
-            &mut end,
+        let mut out = Vec::with_capacity(max);
+        self.ops.drive(
+            q.get_search(),
+            &mut GetEnd { subs: &q.subs },
             max,
+            true,
             &mut self.last_get,
-            &mut self.rng,
-            &guard,
+            |v| {
+                out.push(v);
+            },
         );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        // An empty-terminated batch counts its empty observation as one
-        // op, mirroring the singular dequeue that would have returned
-        // `None`.
-        let n = out.len() as u64 + u64::from(st.empty);
-        c.bump(|c| &c.ops, n);
-        c.bump(|c| &c.batched_ops, n);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Dequeue, clock::now_ns().saturating_sub(t0));
-            }
-        }
         out
     }
 }
@@ -1202,8 +1071,7 @@ mod tests {
             assert!(seen.insert(v), "duplicate {v}");
         }
         assert_eq!(seen.len(), 200, "no item may be stranded by a shrink");
-        let committed = (0..64)
-            .find_map(|_| q.try_commit_shrink())
+        let committed = crate::window::retry_until(|| q.try_commit_shrink())
             .expect("drained tail must let the shrink commit");
         assert_eq!(committed.pop_width(), 2);
         assert!(!committed.pending_shrink());

@@ -86,7 +86,6 @@ pub struct SearchConfig {
     hop_on_contention: bool,
     locality: bool,
     max_width: Option<usize>,
-    node_pool: bool,
 }
 
 impl SearchConfig {
@@ -99,7 +98,6 @@ impl SearchConfig {
             hop_on_contention: true,
             locality: true,
             max_width: None,
-            node_pool: true,
         }
     }
 
@@ -137,17 +135,6 @@ impl SearchConfig {
         self
     }
 
-    /// Enables/disables recycling retired descriptors and nodes through
-    /// the thread-local node pool (`pool.rs`; default: enabled). Disabling
-    /// routes every hot-path allocation through the plain allocator — the
-    /// configuration the pooled/boxed parity tests and benches compare
-    /// against.
-    #[must_use]
-    pub fn node_pool(mut self, enabled: bool) -> Self {
-        self.node_pool = enabled;
-        self
-    }
-
     /// The window parameters.
     #[inline]
     pub fn params(&self) -> Params {
@@ -170,13 +157,6 @@ impl SearchConfig {
     #[inline]
     pub fn uses_locality(&self) -> bool {
         self.locality
-    }
-
-    /// Whether retired descriptors/nodes are recycled through the node
-    /// pool.
-    #[inline]
-    pub fn uses_node_pool(&self) -> bool {
-        self.node_pool
     }
 
     /// Number of sub-structures the structure allocates: the configured
@@ -416,14 +396,11 @@ mod tests {
         let cfg = SearchConfig::new(params)
             .search_policy(SearchPolicy::RandomOnly)
             .hop_on_contention(false)
-            .locality(false)
-            .node_pool(false);
+            .locality(false);
         assert_eq!(cfg.params(), params);
         assert_eq!(cfg.policy(), SearchPolicy::RandomOnly);
         assert!(!cfg.hops_on_contention());
         assert!(!cfg.uses_locality());
-        assert!(!cfg.uses_node_pool());
-        assert!(SearchConfig::new(params).uses_node_pool(), "pool defaults on");
     }
 
     #[test]

@@ -23,14 +23,14 @@ use crossbeam_epoch::{self as epoch};
 use crossbeam_utils::CachePadded;
 
 use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
+use crate::engine::{OpState, Probe, ProbeTarget, Search};
+use crate::metrics::{CounterHub, MetricsSnapshot};
 use crate::params::Params;
 use crate::rng::{HandleSeeder, HopRng};
 use crate::search::SearchConfig;
 use crate::substack::{Contended, PreparedNode, SubStack};
 use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
+use crate::telemetry::{OpKind, Recorder, ShrinkPhase, TelemetryHook};
 use crate::traits::{ConcurrentStack, ElasticTarget, StackHandle};
 use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 
@@ -86,17 +86,22 @@ pub struct Stack2D<T> {
 struct PushSide<'s, T> {
     subs: &'s [CachePadded<SubStack<T>>],
     node: Option<PreparedNode<T>>,
-    /// Remaining values of a batched push, in reverse order (popped from
-    /// the back as [`ProbeTarget::reload`] stages them). Empty for a
-    /// singular push.
-    pending: Vec<T>,
-    /// Whether staged nodes draw from the node pool.
-    pooled: bool,
+    /// Remaining values of a batched push, staged one at a time by
+    /// [`ProbeTarget::reload`]. Empty for a singular push.
+    rest: std::vec::IntoIter<T>,
+}
+
+impl<'s, T> PushSide<'s, T> {
+    /// A push side staging `first`, then `rest` in order.
+    fn new(subs: &'s [CachePadded<SubStack<T>>], first: T, rest: std::vec::IntoIter<T>) -> Self {
+        PushSide { subs, node: Some(PreparedNode::new(first)), rest }
+    }
 }
 
 impl<T> ProbeTarget for PushSide<'_, T> {
     type Output = ();
     const CONSUMES: bool = false;
+    const OP: OpKind = OpKind::Push;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -131,23 +136,8 @@ impl<T> ProbeTarget for PushSide<'_, T> {
 
     fn reload(&mut self) -> bool {
         debug_assert!(self.node.is_none(), "reload with a node still staged");
-        match self.pending.pop() {
-            Some(v) => {
-                self.node = Some(prepare_node(v, self.pooled));
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Stages a value into a list node on the configured allocation path.
-#[inline]
-fn prepare_node<T>(value: T, pooled: bool) -> PreparedNode<T> {
-    if pooled {
-        PreparedNode::new_pooled(value)
-    } else {
-        PreparedNode::new(value)
+        self.node = self.rest.next().map(PreparedNode::new);
+        self.node.is_some()
     }
 }
 
@@ -161,6 +151,7 @@ struct PopSide<'s, T> {
 impl<T> ProbeTarget for PopSide<'_, T> {
     type Output = T;
     const CONSUMES: bool = true;
+    const OP: OpKind = OpKind::Pop;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.pop_width
@@ -220,15 +211,8 @@ impl<T> Stack2D<T> {
     }
 
     fn with_config_seeded(config: SearchConfig, seed: Option<u64>) -> Self {
-        let capacity = config.capacity();
-        let make_sub =
-            if config.uses_node_pool() { SubStack::new_pooled } else { SubStack::new as fn() -> _ };
-        let subs = (0..capacity)
-            .map(|_| CachePadded::new(make_sub()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Stack2D {
-            subs,
+            subs: (0..config.capacity()).map(|_| CachePadded::new(SubStack::new())).collect(),
             global: CachePadded::new(AtomicUsize::new(config.params().initial_global())),
             window: ElasticWindow::new(config.params()),
             config,
@@ -366,7 +350,7 @@ impl<T> Stack2D<T> {
     pub fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
         let (info, swung) = self.window.retune(params, self.subs.len())?;
         if swung {
-            self.counters.add(|c| &c.retunes, 1);
+            self.counters.retuned();
             if let Some(r) = self.telemetry.recorder() {
                 r.retune(info);
                 if info.pending_shrink() {
@@ -390,7 +374,7 @@ impl<T> Stack2D<T> {
         let info = self.window.try_commit_shrink(|tail, guard| {
             self.subs[tail].iter().all(|s| s.view(guard).is_empty())
         })?;
-        self.counters.add(|c| &c.retunes, 1);
+        self.counters.retuned();
         if let Some(r) = self.telemetry.recorder() {
             r.shrink_fence(ShrinkPhase::Committed, info);
         }
@@ -411,21 +395,24 @@ impl<T> Stack2D<T> {
     /// handle RNG is drawn from the deterministic per-structure sequence;
     /// otherwise from thread entropy.
     pub fn handle(&self) -> Handle2D<'_, T> {
-        let mut rng = self.seeder.rng();
-        let width = self.subs.len();
-        let last = rng.bounded(width);
-        let counters = self.counters.register();
-        Handle2D { stack: self, last, rng, sampler: self.telemetry.sampler(), counters }
+        self.handle_with(self.seeder.rng())
     }
 
     /// Registers a handle with a deterministic RNG seed — useful in tests
     /// and reproducible experiments.
     pub fn handle_seeded(&self, seed: u64) -> Handle2D<'_, T> {
-        let mut rng = HopRng::seeded(seed);
-        let width = self.subs.len();
-        let last = rng.bounded(width);
-        let counters = self.counters.register();
-        Handle2D { stack: self, last, rng, sampler: self.telemetry.sampler(), counters }
+        self.handle_with(HopRng::seeded(seed))
+    }
+
+    fn handle_with(&self, rng: HopRng) -> Handle2D<'_, T> {
+        let mut ops = OpState::new(&self.counters, &self.telemetry, rng);
+        let last = ops.rng.bounded(self.subs.len());
+        Handle2D { stack: self, last, ops }
+    }
+
+    /// The search the handles run over this stack's window.
+    fn search(&self) -> Search<'_> {
+        Search::new(&self.window, &self.global, &self.config)
     }
 
     /// Current value of the `Global` window counter (diagnostic).
@@ -508,18 +495,7 @@ impl<T> fmt::Debug for Stack2D<T> {
 pub struct Handle2D<'s, T> {
     stack: &'s Stack2D<T>,
     last: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Stack2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`].
-    counters: Arc<OpCounters>,
-}
-
-impl<T> Drop for Handle2D<'_, T> {
-    fn drop(&mut self) {
-        self.stack.counters.release(&self.counters);
-    }
+    ops: OpState<'s>,
 }
 
 impl<'s, T> Handle2D<'s, T> {
@@ -539,34 +515,9 @@ impl<'s, T> Handle2D<'s, T> {
     /// another thread made progress (won a CAS, shifted the window, or
     /// retuned it).
     pub fn push(&mut self, value: T) {
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = stack.config.uses_node_pool();
-        let node = Some(prepare_node(value, pooled));
-        let mut side = PushSide { subs: &stack.subs, node, pending: Vec::new(), pooled };
-        let (done, st) = Search::new(&stack.window, &stack.global, &stack.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "a push always completes");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Push, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let s = self.stack;
+        let mut side = PushSide::new(&s.subs, value, Vec::new().into_iter());
+        self.ops.drive(s.search(), &mut side, 1, false, &mut self.last, |()| {});
     }
 
     /// Pushes every value in `values`, amortizing the window search: after
@@ -588,73 +539,22 @@ impl<'s, T> Handle2D<'s, T> {
     /// ```
     pub fn push_n(&mut self, values: Vec<T>) {
         let n = values.len();
-        if n == 0 {
-            return;
-        }
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = stack.config.uses_node_pool();
-        let mut pending = values;
-        pending.reverse();
-        let node = Some(prepare_node(pending.pop().expect("n > 0"), pooled));
-        let mut side = PushSide { subs: &stack.subs, node, pending, pooled };
-        let (done, st) = Search::new(&stack.window, &stack.global, &stack.config).run_batch(
-            &mut side,
-            n,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert_eq!(done.len(), n, "a push batch always completes in full");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, n as u64);
-        c.bump(|c| &c.batched_ops, n as u64);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Push, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut rest = values.into_iter();
+        let Some(first) = rest.next() else { return };
+        let s = self.stack;
+        let mut side = PushSide::new(&s.subs, first, rest);
+        self.ops.drive(s.search(), &mut side, n, true, &mut self.last, |()| {});
     }
 
     /// Pops an item; `None` when a covering sweep observed every sub-stack
     /// empty. The returned item is within `k` positions of the top of the
     /// corresponding strict stack ([`Params::k_bound`]).
     pub fn pop(&mut self) -> Option<T> {
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut side = PopSide { subs: &stack.subs };
-        let (out, st) = Search::new(&stack.window, &stack.global, &stack.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Pop, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let s = self.stack;
+        let mut out = None;
+        self.ops.drive(s.search(), &mut PopSide { subs: &s.subs }, 1, false, &mut self.last, |v| {
+            out = Some(v);
+        });
         out
     }
 
@@ -677,40 +577,18 @@ impl<'s, T> Handle2D<'s, T> {
     /// assert_eq!(items.len(), 10);
     /// ```
     pub fn pop_n(&mut self, max: usize) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut side = PopSide { subs: &stack.subs };
-        let (out, st) = Search::new(&stack.window, &stack.global, &stack.config).run_batch(
-            &mut side,
+        let s = self.stack;
+        let mut out = Vec::with_capacity(max);
+        self.ops.drive(
+            s.search(),
+            &mut PopSide { subs: &s.subs },
             max,
+            true,
             &mut self.last,
-            &mut self.rng,
-            &guard,
+            |v| {
+                out.push(v);
+            },
         );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        // An empty-terminated batch counts its empty observation as one
-        // op, mirroring the singular pop that would have returned `None`.
-        let n = out.len() as u64 + u64::from(st.empty);
-        c.bump(|c| &c.ops, n);
-        c.bump(|c| &c.batched_ops, n);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Pop, clock::now_ns().saturating_sub(t0));
-            }
-        }
         out
     }
 }
@@ -1241,12 +1119,8 @@ mod tests {
     /// Drives `try_commit_shrink` until it lands (each quiescent call
     /// advances the epoch at most one step, so a few rounds are needed).
     fn commit_shrink_eventually<T>(stack: &Stack2D<T>) -> crate::window::WindowInfo {
-        for _ in 0..64 {
-            if let Some(info) = stack.try_commit_shrink() {
-                return info;
-            }
-        }
-        panic!("shrink failed to commit on a quiescent stack");
+        crate::window::retry_until(|| stack.try_commit_shrink())
+            .expect("shrink failed to commit on a quiescent stack")
     }
 
     #[test]

@@ -77,26 +77,19 @@ pub struct PreparedNode<T> {
 unsafe impl<T: Send> Send for PreparedNode<T> {}
 
 impl<T> PreparedNode<T> {
-    /// Boxes `value` into a node ready for [`SubStack::try_push_at`].
+    /// Stores `value` in a node ready for [`SubStack::try_push_at`], drawing
+    /// the node's storage from the calling thread's node pool. Every pool
+    /// block originates from `Box::into_raw`, so the un-pushed paths
+    /// ([`PreparedNode::into_value`], `Drop`) free it as a plain box.
     pub fn new(value: T) -> Self {
-        let raw = pool::boxed(Node { value: ManuallyDrop::new(value), next: ptr::null() });
-        PreparedNode { raw }
-    }
-
-    /// Like [`PreparedNode::new`], but drawing the node's storage from the
-    /// calling thread's node pool. Pooled and boxed nodes are freely
-    /// interchangeable (every pool block originates from `Box::into_raw`),
-    /// so the un-pushed paths ([`PreparedNode::into_value`], `Drop`) stay
-    /// the plain boxed ones.
-    pub(crate) fn new_pooled(value: T) -> Self {
         let raw = pool::alloc(Node { value: ManuallyDrop::new(value), next: ptr::null() });
         PreparedNode { raw }
     }
 
     /// Recovers the value, deallocating the node.
     pub fn into_value(self) -> T {
-        // SAFETY: `raw` is the Box allocation made in `new` and still owned
-        // by this handle (the node was never published to a list).
+        // SAFETY: `raw` is the Box-compatible block made in `new` and still
+        // owned by this handle (the node was never published to a list).
         let mut boxed = unsafe { Box::from_raw(self.raw) };
         // SAFETY: the value was initialized in `new` and is taken exactly
         // once — `forget(self)` below prevents the Drop impl from touching
@@ -172,7 +165,8 @@ pub struct Contended<P>(pub P);
 /// retry loops — used by the `random`/`random-c2`/`k-robin` baselines) and
 /// single-attempt use against a validated snapshot (the `try_*_at` family —
 /// used by the 2D window logic, which must check the count against `Global`
-/// and apply the operation on the *same* descriptor).
+/// and apply the operation on the *same* descriptor). Descriptors and
+/// nodes are drawn from, and retired back to, the node pool (`pool.rs`).
 ///
 /// # Examples
 ///
@@ -189,9 +183,6 @@ pub struct Contended<P>(pub P);
 /// ```
 pub struct SubStack<T> {
     desc: Atomic<Descriptor<T>>,
-    /// Whether retired descriptors/nodes are recycled through the node
-    /// pool (`pool.rs`) instead of freed; set once at construction.
-    pooled: bool,
 }
 
 // SAFETY: the stack owns its nodes and hands values across threads only by
@@ -204,44 +195,15 @@ unsafe impl<T: Send> Sync for SubStack<T> {}
 impl<T> SubStack<T> {
     /// Creates an empty sub-stack (descriptor `{top: null, count: 0}`).
     pub fn new() -> Self {
-        SubStack { desc: Atomic::new(Descriptor { top: ptr::null(), count: 0 }), pooled: false }
+        SubStack { desc: Atomic::new(Descriptor { top: ptr::null(), count: 0 }) }
     }
 
-    /// Creates an empty sub-stack whose retired descriptors and nodes are
-    /// recycled through the thread-local node pool
-    /// ([`Builder::node_pool`](crate::Builder::node_pool)'s default path).
-    pub(crate) fn new_pooled() -> Self {
-        SubStack { desc: Atomic::new(Descriptor { top: ptr::null(), count: 0 }), pooled: true }
-    }
-
-    /// Allocates a descriptor on the structure's configured path (pool or
-    /// plain box); either way the block is `Box`-compatible.
+    /// Allocates a descriptor from the node pool (a `Box`-compatible block).
     #[inline]
-    fn alloc_desc(&self, desc: Descriptor<T>) -> Owned<Descriptor<T>> {
-        let raw = if self.pooled { pool::alloc(desc) } else { pool::boxed(desc) };
-        // SAFETY: `raw` is a unique, Box-compatible allocation from the
-        // pool or the allocator, owned by no one else.
-        unsafe { Owned::from_raw_ptr(raw) }
-    }
-
-    /// Retires a displaced descriptor on the structure's configured path.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as `Guard::defer_destroy`: `desc` must be unlinked
-    /// and retired exactly once.
-    #[inline]
-    unsafe fn retire_desc<'g>(&self, desc: Shared<'g, Descriptor<T>>, guard: &'g Guard) {
-        // Descriptors hold only raw pointers and a count — no drop glue —
-        // so recycling storage is exactly equivalent to the Box drop.
-        if self.pooled {
-            // SAFETY: forwarded caller contract; `recycle` fully reclaims
-            // the block and is safe from any thread.
-            unsafe { guard.defer_destroy_with(desc, pool::recycle::<Descriptor<T>>) };
-        } else {
-            // SAFETY: forwarded caller contract.
-            unsafe { guard.defer_destroy(desc) };
-        }
+    fn alloc_desc(desc: Descriptor<T>) -> Owned<Descriptor<T>> {
+        // SAFETY: `pool::alloc` returns a unique, Box-compatible allocation
+        // owned by no one else.
+        unsafe { Owned::from_raw_ptr(pool::alloc(desc)) }
     }
 
     /// Takes a consistent `(top, count)` snapshot.
@@ -290,7 +252,7 @@ impl<T> SubStack<T> {
         // private until the CAS below succeeds, so the plain write cannot
         // race.
         unsafe { (*node.raw).next = old.top };
-        let new = self.alloc_desc(Descriptor { top: node.raw as *const _, count: old.count + 1 });
+        let new = Self::alloc_desc(Descriptor { top: node.raw as *const _, count: old.count + 1 });
         match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
         {
             Ok(_) => {
@@ -299,7 +261,9 @@ impl<T> SubStack<T> {
                 // SAFETY: our CAS unlinked the displaced descriptor, and only
                 // the CAS winner retires it; concurrent snapshot holders are
                 // protected by their own guards until reclamation.
-                unsafe { self.retire_desc(view.desc, guard) };
+                // Descriptors hold only raw pointers and a count — no drop
+                // glue — so recycling the storage is complete reclamation.
+                unsafe { guard.defer_destroy_with(view.desc, pool::recycle::<Descriptor<T>>) };
                 Ok(())
             }
             Err(_) => Err(Contended(node)),
@@ -329,7 +293,7 @@ impl<T> SubStack<T> {
         // SAFETY: the epoch guard keeps every node that was reachable at
         // snapshot time alive, and `top` was non-null above.
         let top = unsafe { &*old.top };
-        let new = self.alloc_desc(Descriptor { top: top.next, count: old.count - 1 });
+        let new = Self::alloc_desc(Descriptor { top: top.next, count: old.count - 1 });
         match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
         {
             Ok(_) => {
@@ -340,22 +304,15 @@ impl<T> SubStack<T> {
                 // Node and descriptor were unlinked by the same CAS, so
                 // they are retired as a pair: one epoch fence instead of
                 // two. Both reclaims are storage-only — the node's value
-                // was consumed above and descriptors carry no drop glue —
-                // so the unpooled hooks match what `Box::from_raw` did.
-                type Destroy = unsafe fn(*mut ());
-                let (destroy_node, destroy_desc): (Destroy, Destroy) = if self.pooled {
-                    (pool::recycle::<Node<T>>, pool::recycle::<Descriptor<T>>)
-                } else {
-                    (pool::free_block::<Node<T>>, pool::free_block::<Descriptor<T>>)
-                };
+                // was consumed above and descriptors carry no drop glue.
                 // SAFETY: the CAS unlinked both the node and the displaced
                 // descriptor; only the winner retires them, exactly once.
                 unsafe {
                     guard.defer_destroy_pair_with(
                         Shared::from(old.top),
-                        destroy_node,
+                        pool::recycle::<Node<T>>,
                         view.desc,
-                        destroy_desc,
+                        pool::recycle::<Descriptor<T>>,
                     );
                 }
                 Ok(Some(value))
@@ -366,8 +323,7 @@ impl<T> SubStack<T> {
 
     /// Pushes `value`, retrying until the CAS succeeds (plain Treiber loop).
     pub fn push(&self, value: T) {
-        let mut node =
-            if self.pooled { PreparedNode::new_pooled(value) } else { PreparedNode::new(value) };
+        let mut node = PreparedNode::new(value);
         let guard = crossbeam_epoch::pin();
         loop {
             let view = self.view(&guard);

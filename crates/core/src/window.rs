@@ -462,6 +462,24 @@ impl fmt::Display for RetuneError {
 
 impl std::error::Error for RetuneError {}
 
+/// Test helper: retries `attempt` until it yields `Some`, yielding the
+/// thread between tries, for at most 10 s. A shrink commit waits on the
+/// process-global epoch, which every concurrently running test also pins,
+/// so no fixed number of attempts is guaranteed to be enough.
+#[cfg(test)]
+pub(crate) fn retry_until<R>(mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        if let Some(r) = attempt() {
+            return Some(r);
+        }
+        if std::time::Instant::now() >= deadline {
+            return None;
+        }
+        crate::sync::thread::yield_now();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,18 +587,18 @@ mod tests {
         let w = ElasticWindow::new(Params::new(4, 1, 1).unwrap());
         w.retune(Params::new(1, 1, 1).unwrap(), 4).unwrap();
         // Drive the fence; once it trips, a refusing sweep blocks commit.
-        let mut asked = None;
-        for _ in 0..64 {
+        let asked = retry_until(|| {
+            let mut asked = None;
             assert!(w
                 .try_commit_shrink(|range, _| {
                     asked = Some(range.clone());
                     false
                 })
                 .is_none());
-        }
+            asked
+        });
         assert_eq!(asked, Some(1..4), "sweep must cover the retired tail");
-        let info = (0..64)
-            .find_map(|_| w.try_commit_shrink(|_, _| true))
+        let info = retry_until(|| w.try_commit_shrink(|_, _| true))
             .expect("agreeing sweep must let the shrink commit");
         assert_eq!(info.pop_width(), 1);
         assert!(!info.pending_shrink());

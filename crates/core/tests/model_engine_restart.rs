@@ -1,11 +1,15 @@
 //! Bounded model: the window-search engine's restart-on-Global-change
 //! protocol (DESIGN.md §9, §10).
 //!
-//! Two workers each push one item and then pop one while a retuner grows
-//! the window from width 2 to width 4 mid-flight. A pop sweep that misses
-//! the descriptor swing could declare a non-empty stack empty; the engine
-//! restarts its covering sweep whenever the generation moves, so every
-//! pop here must succeed and the multiset of values must be conserved.
+//! Two workers push and then pop while a retuner grows the window from
+//! width 2 to width 4 mid-flight. One worker uses the singular ops (push
+//! one item, pop one); the other uses the batched ones (`push_n` of two
+//! items, then `pop_n(2)`), so the engine's drain loop — which keeps taking
+//! from a won cell instead of starting a new round — runs across the
+//! swing too. A pop sweep that misses the descriptor swing could declare a
+//! non-empty stack empty; the engine restarts its covering sweep whenever
+//! the generation moves, so every pop here must succeed and the multiset
+//! of values must be conserved.
 //!
 //! Run with `RUSTFLAGS="--cfg model" cargo test -p stack2d --test 'model_*'`.
 #![cfg(model)]
@@ -27,31 +31,39 @@ fn pops_survive_a_concurrent_window_swing() {
                 .build()
                 .unwrap(),
         );
-        let workers: Vec<_> = (0..2)
-            .map(|t| {
-                let s = Arc::clone(&stack);
-                thread::spawn(move || {
-                    let mut h = s.handle_seeded(t as u64);
-                    h.push(t);
-                    // The worker's own push precedes its pop, and the
-                    // other worker pops at most once after its own push,
-                    // so the stack is provably non-empty here: a None
-                    // would be a broken emptiness sweep.
-                    h.pop().expect("pop observed empty on a non-empty stack")
-                })
+        // Each worker's own pushes precede its pops, and each pops no more
+        // than it pushed, so the stack provably holds an item for every
+        // pop: a None (or a short batch) would be a broken emptiness sweep.
+        let single = {
+            let s = Arc::clone(&stack);
+            thread::spawn(move || {
+                let mut h = s.handle_seeded(0);
+                h.push(0);
+                vec![h.pop().expect("pop observed empty on a non-empty stack")]
             })
-            .collect();
+        };
+        let batched = {
+            let s = Arc::clone(&stack);
+            thread::spawn(move || {
+                let mut h = s.handle_seeded(1);
+                h.push_n(vec![1, 2]);
+                let got = h.pop_n(2);
+                assert_eq!(got.len(), 2, "pop_n observed empty on a non-empty stack");
+                got
+            })
+        };
         let retuner = {
             let s = Arc::clone(&stack);
             thread::spawn(move || {
                 s.retune(Params::new(4, 2, 1).unwrap()).unwrap();
             })
         };
-        let mut got: Vec<usize> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let mut got = single.join().unwrap();
+        got.extend(batched.join().unwrap());
         retuner.join().unwrap();
         got.sort_unstable();
-        assert_eq!(got, vec![0, 1], "pop multiset diverged from the push multiset");
-        assert!(stack.is_empty(), "two pushes and two pops must leave the stack empty");
+        assert_eq!(got, vec![0, 1, 2], "pop multiset diverged from the push multiset");
+        assert!(stack.is_empty(), "three pushes and three pops must leave the stack empty");
     })
     .expect("no schedule may lose a pop across the window swing");
     assert!(

@@ -27,12 +27,7 @@ fn pooled_retirement_never_recycles_reachable_nodes() {
         // maximising overlap between a winning pop's retirement and the
         // loser's retry against the same (now retired) snapshot.
         let stack: Arc<Stack2D<u64>> = Arc::new(
-            Stack2D::builder()
-                .params(Params::new(1, 2, 1).unwrap())
-                .seed(7)
-                .node_pool(true)
-                .build()
-                .unwrap(),
+            Stack2D::builder().params(Params::new(1, 2, 1).unwrap()).seed(7).build().unwrap(),
         );
         {
             let mut h = stack.handle_seeded(1);

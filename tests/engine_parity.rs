@@ -12,7 +12,11 @@
 //! * the stack across **every** config axis (all three policies, locality
 //!   off, hop-on-contention off — the full ablation surface it already had);
 //! * the queue and counter in their default configuration (the PR 3
-//!   covering-sweep behaviour, now expressed as `RoundRobinOnly`).
+//!   covering-sweep behaviour, now expressed as `RoundRobinOnly`);
+//! * the batched ops (`push_n`/`pop_n`, `enqueue_n`/`dequeue_n`, `add_n`)
+//!   at batch sizes 1 and 8, captured from the engine's separate batch
+//!   loop before it was merged into the singular one, with `batched_ops`
+//!   and `search_rounds` in the fingerprint.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //! `cargo test --test engine_parity -- --ignored --nocapture`.
@@ -320,6 +324,239 @@ fn two_phase_policy_runs_on_the_queue() {
     assert!(a.metrics().probes >= 2_000);
 }
 
+/// (pop-sequence hash, probes, shifts_up, shifts_down, empty_pops,
+/// batched_ops, search_rounds): the batched-path fingerprint.
+type BatchFingerprint = (u64, u64, u64, u64, u64, u64, u64);
+
+/// How a batch workload calls the structure: one op per call, or `n`
+/// items per `_n` call.
+#[derive(Clone, Copy)]
+enum Mode {
+    Singular,
+    Batched(usize),
+}
+
+impl Mode {
+    fn chunk(self) -> usize {
+        match self {
+            Mode::Singular => 1,
+            Mode::Batched(n) => n,
+        }
+    }
+}
+
+fn batch_fingerprint(acc: u64, m: stack2d::MetricsSnapshot) -> BatchFingerprint {
+    (acc, m.probes, m.shifts_up, m.shifts_down, m.empty_pops, m.batched_ops, m.search_rounds)
+}
+
+/// The stack churn of [`stack_fingerprint`], run in chunks of `n`:
+/// every chunk is pushed with one `push_n`, every third chunk is followed
+/// by one `pop_n(n)`, and the drain repeats `pop_n(n)` until it comes back
+/// empty. With `n = 1` the op sequence is exactly the singular workload's.
+fn stack_batch_fingerprint(cfg: SearchConfig, mode: Mode) -> BatchFingerprint {
+    let stack = Stack2D::with_config(cfg);
+    let mut h = stack.handle_seeded(0xA5A5);
+    let n = mode.chunk();
+    let mut acc = FNV_SEED;
+    for c in 0..(2_000 / n) as u64 {
+        let chunk: Vec<u64> = (c * n as u64..(c + 1) * n as u64).collect();
+        let popped = match mode {
+            Mode::Singular => {
+                h.push(chunk[0]);
+                if c % 3 == 0 {
+                    h.pop().into_iter().collect()
+                } else {
+                    Vec::new()
+                }
+            }
+            Mode::Batched(n) => {
+                h.push_n(chunk);
+                if c % 3 == 0 {
+                    h.pop_n(n)
+                } else {
+                    Vec::new()
+                }
+            }
+        };
+        acc = popped.into_iter().fold(acc, fnv);
+    }
+    loop {
+        let got: Vec<u64> = match mode {
+            Mode::Singular => h.pop().into_iter().collect(),
+            Mode::Batched(n) => h.pop_n(n),
+        };
+        if got.is_empty() {
+            break;
+        }
+        acc = got.into_iter().fold(acc, fnv);
+    }
+    batch_fingerprint(acc, stack.metrics())
+}
+
+/// The queue twin of [`stack_batch_fingerprint`].
+fn queue_batch_fingerprint(params: Params, mode: Mode) -> BatchFingerprint {
+    let queue = Queue2D::new(params);
+    let mut h = queue.handle_seeded(0xA5A5);
+    let n = mode.chunk();
+    let mut acc = FNV_SEED;
+    for c in 0..(2_000 / n) as u64 {
+        let chunk: Vec<u64> = (c * n as u64..(c + 1) * n as u64).collect();
+        let got = match mode {
+            Mode::Singular => {
+                h.enqueue(chunk[0]);
+                if c % 3 == 0 {
+                    h.dequeue().into_iter().collect()
+                } else {
+                    Vec::new()
+                }
+            }
+            Mode::Batched(n) => {
+                h.enqueue_n(chunk);
+                if c % 3 == 0 {
+                    h.dequeue_n(n)
+                } else {
+                    Vec::new()
+                }
+            }
+        };
+        acc = got.into_iter().fold(acc, fnv);
+    }
+    loop {
+        let got: Vec<u64> = match mode {
+            Mode::Singular => h.dequeue().into_iter().collect(),
+            Mode::Batched(n) => h.dequeue_n(n),
+        };
+        if got.is_empty() {
+            break;
+        }
+        acc = got.into_iter().fold(acc, fnv);
+    }
+    batch_fingerprint(acc, queue.metrics())
+}
+
+/// 2 000 increments, as one `add_n(n)` per chunk (the hash slot carries
+/// the final value).
+fn counter_batch_fingerprint(params: Params, mode: Mode) -> BatchFingerprint {
+    let counter = Counter2D::new(params);
+    let mut h = counter.handle_seeded(0xA5A5);
+    for _ in 0..2_000 / mode.chunk() {
+        match mode {
+            Mode::Singular => h.increment(),
+            Mode::Batched(n) => h.add_n(n),
+        }
+    }
+    batch_fingerprint(counter.value() as u64, counter.metrics())
+}
+
+/// The batch sizes whose fingerprints are pinned.
+const BATCH_SIZES: [usize; 2] = [1, 8];
+
+/// Golden batched-path fingerprints, `(case, n, fingerprint)`, captured
+/// from the two-loop engine (separate singular and batched search loops)
+/// before the two were merged into one.
+const STACK_BATCH_GOLDEN: [(&str, usize, BatchFingerprint); 4] = [
+    ("default-w8d4s2", 1, (8592145364936136807, 8256, 82, 82, 1, 4001, 4001)),
+    ("default-w8d4s2", 8, (4786466147219562789, 9549, 82, 82, 1, 4001, 501)),
+    ("default-w4d1s1", 1, (2250523617872151793, 11605, 333, 333, 1, 4001, 4001)),
+    ("default-w4d1s1", 8, (14235063488248974041, 14376, 416, 416, 1, 4001, 501)),
+];
+
+/// Queue batched-path goldens for `p(4, 2, 1)` and `p(8, 4, 2)` at each
+/// batch size, in that order.
+const QUEUE_BATCH_GOLDEN: [(usize, BatchFingerprint); 4] = [
+    (1, (7771951924129503285, 10982, 498, 498, 1, 4001, 4001)),
+    (8, (7771951924129503285, 14468, 498, 498, 1, 4001, 501)),
+    (1, (7771951924129503285, 7712, 123, 123, 1, 4001, 4001)),
+    (8, (7771951924129503285, 9188, 123, 123, 1, 4001, 501)),
+];
+
+/// Counter batched-path goldens, same layout as the queue's.
+const COUNTER_BATCH_GOLDEN: [(usize, BatchFingerprint); 4] = [
+    (1, (2000, 5489, 498, 0, 0, 2000, 2000)),
+    (8, (2000, 7232, 498, 0, 0, 2000, 250)),
+    (1, (2000, 3852, 123, 0, 0, 2000, 2000)),
+    (8, (2000, 4590, 123, 0, 0, 2000, 250)),
+];
+
+fn batch_stack_cases() -> Vec<(&'static str, SearchConfig)> {
+    stack_cases().into_iter().filter(|(name, _)| name.starts_with("default-")).collect()
+}
+
+fn batch_params() -> [Params; 2] {
+    [p(4, 2, 1), p(8, 4, 2)]
+}
+
+#[test]
+fn batched_stack_ops_match_goldens() {
+    for (name, cfg) in batch_stack_cases() {
+        for n in BATCH_SIZES {
+            let got = stack_batch_fingerprint(cfg, Mode::Batched(n));
+            let (_, _, want) = STACK_BATCH_GOLDEN
+                .iter()
+                .find(|(g, gn, _)| *g == name && *gn == n)
+                .expect("golden entry");
+            assert_eq!(&got, want, "stack {name} push_n/pop_n({n}) diverged");
+        }
+    }
+}
+
+#[test]
+fn batched_queue_ops_match_goldens() {
+    let cases = batch_params().into_iter().flat_map(|p| BATCH_SIZES.map(|n| (p, n)));
+    for ((params, n), (gn, want)) in cases.zip(QUEUE_BATCH_GOLDEN) {
+        assert_eq!(n, gn);
+        let got = queue_batch_fingerprint(params, Mode::Batched(n));
+        assert_eq!(got, want, "queue {params:?} enqueue_n/dequeue_n({n}) diverged");
+    }
+}
+
+#[test]
+fn batched_counter_ops_match_goldens() {
+    let cases = batch_params().into_iter().flat_map(|p| BATCH_SIZES.map(|n| (p, n)));
+    for ((params, n), (gn, want)) in cases.zip(COUNTER_BATCH_GOLDEN) {
+        assert_eq!(n, gn);
+        let got = counter_batch_fingerprint(params, Mode::Batched(n));
+        assert_eq!(got, want, "counter {params:?} add_n({n}) diverged");
+    }
+}
+
+/// A batch of one is the singular op: same cells, same RNG draws, same
+/// counters — except `batched_ops`, which only the `_n` calls count
+/// (DESIGN.md §14).
+#[test]
+fn batch_of_one_is_the_singular_op() {
+    let same = |single: BatchFingerprint, batch: BatchFingerprint, what: &str| {
+        assert_eq!(single.5, 0, "{what}: singular ops count no batched ops");
+        assert_eq!(batch.5, batch.6, "{what}: every n=1 call is one batched op");
+        assert_eq!((single.0, single.1, single.2, single.3, single.4, single.6), {
+            let b = batch;
+            (b.0, b.1, b.2, b.3, b.4, b.6)
+        });
+    };
+    for (name, cfg) in stack_cases() {
+        same(
+            stack_batch_fingerprint(cfg, Mode::Singular),
+            stack_batch_fingerprint(cfg, Mode::Batched(1)),
+            name,
+        );
+        // The singular batch workload is the golden workload above.
+        let (h, probes, up, down, empty, _, _) = stack_batch_fingerprint(cfg, Mode::Singular);
+        assert_eq!((h, probes, up, down, empty), stack_fingerprint(cfg), "{name}");
+    }
+    for params in batch_params() {
+        same(
+            queue_batch_fingerprint(params, Mode::Singular),
+            queue_batch_fingerprint(params, Mode::Batched(1)),
+            "queue",
+        );
+        same(
+            counter_batch_fingerprint(params, Mode::Singular),
+            counter_batch_fingerprint(params, Mode::Batched(1)),
+            "counter",
+        );
+    }
+}
+
 /// Regenerates the golden tables (run with `-- --ignored --nocapture`).
 #[test]
 #[ignore = "golden generator, not a check"]
@@ -337,6 +574,27 @@ fn print_goldens() {
     println!("const COUNTER_GOLDEN: [Fingerprint; 2] = [");
     for params in [p(4, 2, 1), p(8, 4, 2)] {
         println!("    {:?},", counter_fingerprint(params));
+    }
+    println!("];");
+    println!("const STACK_BATCH_GOLDEN: [(&str, usize, BatchFingerprint); 4] = [");
+    for (name, cfg) in batch_stack_cases() {
+        for n in BATCH_SIZES {
+            println!("    ({name:?}, {n}, {:?}),", stack_batch_fingerprint(cfg, Mode::Batched(n)));
+        }
+    }
+    println!("];");
+    println!("const QUEUE_BATCH_GOLDEN: [(usize, BatchFingerprint); 4] = [");
+    for params in batch_params() {
+        for n in BATCH_SIZES {
+            println!("    ({n}, {:?}),", queue_batch_fingerprint(params, Mode::Batched(n)));
+        }
+    }
+    println!("];");
+    println!("const COUNTER_BATCH_GOLDEN: [(usize, BatchFingerprint); 4] = [");
+    for params in batch_params() {
+        for n in BATCH_SIZES {
+            println!("    ({n}, {:?}),", counter_batch_fingerprint(params, Mode::Batched(n)));
+        }
     }
     println!("];");
 }

@@ -5,8 +5,8 @@
 //! thread-local freelists behind epoch reclamation. The failure modes
 //! worth money here are a block handed back to a freelist while another
 //! thread can still reach it (use-after-free — shows up as a lost or
-//! duplicated payload) and accounting drift between the pooled and
-//! unpooled paths. Both are exercised with drop-counting canaries; in
+//! duplicated payload) and accounting drift between a payload's push and
+//! its drop. Both are exercised with drop-counting canaries; in
 //! debug builds [`pool_stats`] additionally proves recycling actually
 //! happened rather than silently degrading to malloc-per-op.
 
@@ -104,17 +104,14 @@ fn pool_churn_under_retune_stress() {
 }
 
 #[test]
-fn unpooled_structures_see_identical_conservation() {
-    // `.node_pool(false)` must be drop-for-drop identical — it is the
-    // control arm for every pooled-path bug.
+fn single_handle_churn_drops_every_canary_once() {
+    // The sequential control arm: with no concurrency at all, every popped
+    // canary drops at its pop and every resident one with the structure.
     const PER: usize = 4_000;
     let drops = Arc::new(AtomicUsize::new(0));
     {
-        let stack = Stack2D::<Canary>::builder()
-            .params(Params::new(2, 2, 1).unwrap())
-            .node_pool(false)
-            .build()
-            .unwrap();
+        let stack =
+            Stack2D::<Canary>::builder().params(Params::new(2, 2, 1).unwrap()).build().unwrap();
         let mut h = stack.handle_seeded(3);
         for i in 0..PER {
             if i % 2 == 0 {

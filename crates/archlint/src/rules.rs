@@ -536,8 +536,8 @@ fn check_no_panic_in_hot_path(ctx: &FileCtx<'_>, _cfg: &Config, out: &mut Vec<Fi
 
 fn check_no_raw_alloc_in_hot_path(ctx: &FileCtx<'_>, _cfg: &Config, out: &mut Vec<Finding>) {
     // The hot-path memory overhaul (DESIGN.md §14) routes every per-op
-    // node and descriptor through `pool::alloc` / `pool::recycle`; a raw
-    // `Box::new` or a growable `Vec` sneaking back into the engine core
+    // node through `pool::alloc` / `pool::recycle`; a raw `Box::new` or a
+    // growable `Vec` sneaking back into the engine core
     // reintroduces a malloc per operation — exactly the cost PR 10
     // removed. `Box::from_raw` stays legal (it is the deallocation side),
     // and pre-sized batch buffers may be allowed per site.

@@ -213,8 +213,8 @@ stack2d::impl_relaxed_ops_for_stack!(RandomStack);
 /// Choice-of-two scheduling: sample two sub-stacks, push to the shorter and
 /// pop from the longer.
 ///
-/// Item counts are the hotness signal (the only totally-ordered one a stack
-/// descriptor exposes); this mirrors the MultiQueue policy the paper cites
+/// Item counts are the hotness signal (the only totally-ordered one a
+/// sub-stack exposes); this mirrors the MultiQueue policy the paper cites
 /// as `random-c2`.
 pub struct RandomC2Stack<T> {
     arr: SubArray<T>,

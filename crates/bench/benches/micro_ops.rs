@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the building blocks: uncontended per-operation cost
-//! of every stack, the descriptor-swing sub-stack primitives, parameter
+//! of every stack, the count-in-node sub-stack primitives, parameter
 //! derivation, and the quality oracle — context for interpreting the
 //! figure-level numbers.
 

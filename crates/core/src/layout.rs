@@ -58,9 +58,9 @@ fn window_descriptor_word_is_isolated() {
 fn sub_structure_lanes_do_not_share_lines() {
     // A lane slot (`CachePadded<SubStack<T>>`) must occupy a whole number
     // of padding granules so adjacent lanes in the `Box<[_]>` never split
-    // a line, and the unpadded payload (a descriptor pointer) must still
-    // fit inside one granule.
-    assert!(size_of::<SubStack<u64>>() <= line());
+    // a line. The unpadded payload is one word: the `top` pointer, with the
+    // count carried in the node it points at.
+    assert_eq!(size_of::<SubStack<u64>>(), size_of::<usize>());
     assert_eq!(size_of::<CachePadded<SubStack<u64>>>(), line());
     assert_eq!(align_of::<CachePadded<SubStack<u64>>>(), line());
 }

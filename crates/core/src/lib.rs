@@ -101,11 +101,12 @@
 //!
 //! ## Memory reclamation
 //!
-//! The paper updates each sub-stack's `(top, count)` descriptor with a
-//! 16-byte compare-and-exchange. This crate realizes the same atomicity by
-//! swinging a descriptor *pointer* with a single-word CAS and retiring
-//! displaced descriptors and nodes through epoch-based reclamation
-//! (`crossbeam-epoch`); see `DESIGN.md` for the full substitution argument.
+//! The paper updates each sub-stack's `(top, count)` pair with a 16-byte
+//! compare-and-exchange. This crate realizes the same atomicity by keeping
+//! the count in the list — every node carries its height — so one
+//! single-word CAS on `top` moves both fields, and popped nodes are retired
+//! through epoch-based reclamation (`crossbeam-epoch`), which also rules
+//! out ABA on `top`; see `DESIGN.md` §3 for the full substitution argument.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -33,7 +33,7 @@ use crossbeam_utils::CachePadded;
 /// [`CounterHub`], and every live handle owns a private [`HandleCounters`].
 #[derive(Debug, Default)]
 pub(crate) struct OpCounters {
-    /// Descriptor CASes lost to another thread.
+    /// Sub-structure CASes lost to another thread.
     pub cas_failures: AtomicU64,
     /// Sub-stack validations performed (window checks).
     pub probes: AtomicU64,
@@ -208,7 +208,7 @@ impl CounterHub {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MetricsSnapshot {
-    /// Descriptor CASes lost to another thread.
+    /// Sub-structure CASes lost to another thread.
     pub cas_failures: u64,
     /// Sub-stack validations performed.
     pub probes: u64,

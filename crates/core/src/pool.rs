@@ -1,11 +1,10 @@
 //! Per-thread node pools: epoch-recycled storage for hot-path allocations.
 //!
-//! Every op on a descriptor-swinging structure allocates (a fresh
-//! `Descriptor`, and on push a node) and retires the displaced blocks
-//! through epoch reclamation. With the default `Box` path that is one
-//! `malloc` + one `free` per block per op — measurably the dominant cost of
-//! an uncontended push/pop pair (see EXPERIMENTS.md, BENCH_9→10). This
-//! module replaces the allocator round-trip with a **layout-keyed
+//! Every push or enqueue allocates a list node, and the pop or dequeue that
+//! unlinks it retires it through epoch reclamation. With a plain `Box` path
+//! that is one `malloc` + one `free` per item — measurably the dominant
+//! cost of an uncontended push/pop pair (see EXPERIMENTS.md, BENCH_9→10).
+//! This module replaces the allocator round-trip with a **layout-keyed
 //! thread-local freelist**:
 //!
 //! * [`alloc`] pops a cached block of the exact layout (falling back to the
@@ -30,18 +29,18 @@
 //!   [`recycle`] degrades to a plain `dealloc` during thread teardown when
 //!   the thread-local is already gone.
 //!
-//! The pool is unconditional: every per-op node and descriptor of the
-//! three structures (and of a standalone [`SubStack`](crate::substack::SubStack))
-//! is allocated with [`alloc`] and retired through [`recycle`]; [`boxed`]
-//! is only the pool-miss fallback.
+//! The pool is unconditional: every per-op node of the structures (and of
+//! a standalone [`SubStack`](crate::substack::SubStack)) is allocated with
+//! [`alloc`] and retired through [`recycle`]; [`boxed`] is only the
+//! pool-miss fallback.
 
 use core::alloc::Layout;
 use core::cell::Cell;
 use core::ptr;
 
 /// Maximum cached blocks per layout class per thread. Enough to absorb the
-/// descriptor + node churn of a tight op loop; small enough that a thread
-/// parks at most a few KiB per class.
+/// node churn of a tight op loop; small enough that a thread parks at most
+/// a few KiB per class.
 const SHARD_CAP: usize = 128;
 
 /// Maximum distinct layout classes per thread (a process using the stack,

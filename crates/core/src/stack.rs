@@ -2,7 +2,7 @@
 //!
 //! This module implements the algorithm of §3 of the paper:
 //!
-//! * an array of descriptor-based sub-stacks (the *stack-array*);
+//! * an array of count-in-node sub-stacks (the *stack-array*);
 //! * a shared `Global` counter giving the upper edge of the current
 //!   **window**: a push is valid on a sub-stack iff `count < Global`, a pop
 //!   iff `count > Global - depth` (and the sub-stack is non-empty);

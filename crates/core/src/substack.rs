@@ -1,16 +1,20 @@
-//! Descriptor-based lock-free sub-stack — the building block of the 2D-Stack.
+//! Count-in-node lock-free sub-stack — the building block of the 2D-Stack.
 //!
-//! Each sub-stack is a Treiber-style linked list governed by a single
-//! **descriptor** holding the top-of-stack pointer *and* the item count.
-//! The paper updates the two fields together with a 16-byte
-//! compare-and-exchange (`CAE`, i.e. `cmpxchg16b`); stable Rust has no
-//! 128-bit atomic, so this implementation realizes the identical atomicity
-//! guarantee by *descriptor swinging*: the descriptor lives behind an
-//! [`Atomic`] pointer, every update allocates a fresh descriptor and installs
-//! it with a single-word CAS, and the displaced descriptor is reclaimed
-//! through epoch-based reclamation (`crossbeam-epoch`). Readers therefore
-//! always observe a mutually consistent `(top, count)` pair, exactly as with
-//! `CAE` — see DESIGN.md §3 for the substitution rationale.
+//! Each sub-stack is a Treiber-style linked list whose state is the
+//! `(top, count)` pair of the paper (§3), which updates both fields with
+//! one 16-byte compare-and-exchange (`CAE`, i.e. `cmpxchg16b`). Stable Rust
+//! has no 128-bit atomic, so here every node carries its own **height** (the
+//! item count of the stack it tops) and the sub-stack is a single
+//! [`Atomic`] `top` pointer: `count` is `top.height`, or 0 when `top` is
+//! null. A push writes `next` and `height` before the publishing CAS, so
+//! nodes are immutable once reachable, and one single-word CAS on `top`
+//! moves both fields at once.
+//!
+//! The pair stays consistent because a caller holds its epoch guard from
+//! [`SubStack::view`] to the CAS: the node at `view.top` cannot be retired,
+//! recycled by the node pool and reinstalled as `top` in between. A
+//! successful CAS therefore proves `top` is the very node the view read,
+//! whose `next` and `height` never changed — no ABA. See DESIGN.md §3.
 //!
 //! The sub-stack is exposed publicly because the distribution baselines
 //! (`random`, `random-c2`, `k-robin` in `stack2d-baselines`) are built from
@@ -21,32 +25,21 @@ use core::fmt;
 use core::mem::ManuallyDrop;
 use core::ptr;
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Pointer, Shared};
+use crossbeam_epoch::{Atomic, Guard, Shared};
 
 use crate::pool;
 
 /// A node of the intrusive linked list that stores one item.
 ///
-/// Nodes are immutable once published: `next` is written before the CAS that
-/// makes the node reachable and never changes afterwards, so readers holding
-/// an epoch guard may dereference it freely.
+/// Nodes are immutable once published: `next` and `height` are written
+/// before the CAS that makes the node reachable and never change
+/// afterwards, so readers holding an epoch guard may dereference it freely.
 pub(crate) struct Node<T> {
     value: ManuallyDrop<T>,
     next: *const Node<T>,
+    /// Items in the stack this node tops: `next.height + 1`, 1 at the bottom.
+    height: usize,
 }
-
-/// The per-sub-stack descriptor of the paper (§3): the topmost-item pointer
-/// and the item counter, always updated in one atomic step.
-pub(crate) struct Descriptor<T> {
-    top: *const Node<T>,
-    count: usize,
-}
-
-// SAFETY: raw pointers poison auto-traits; the descriptor only *refers* to
-// nodes that carry `T`, so the usual container bounds apply.
-unsafe impl<T: Send> Send for Descriptor<T> {}
-// SAFETY: as above — the descriptor itself holds no thread-affine state.
-unsafe impl<T: Send> Sync for Descriptor<T> {}
 
 /// A value boxed into a list node *before* knowing which sub-stack will take
 /// it.
@@ -82,7 +75,8 @@ impl<T> PreparedNode<T> {
     /// block originates from `Box::into_raw`, so the un-pushed paths
     /// ([`PreparedNode::into_value`], `Drop`) free it as a plain box.
     pub fn new(value: T) -> Self {
-        let raw = pool::alloc(Node { value: ManuallyDrop::new(value), next: ptr::null() });
+        let raw =
+            pool::alloc(Node { value: ManuallyDrop::new(value), next: ptr::null(), height: 0 });
         PreparedNode { raw }
     }
 
@@ -118,21 +112,20 @@ impl<T> fmt::Debug for PreparedNode<T> {
     }
 }
 
-/// A consistent snapshot of a sub-stack's descriptor: the `(top, count)`
-/// pair observed in one atomic load.
+/// A consistent snapshot of a sub-stack's `(top, count)` pair, observed in
+/// one atomic load of `top`.
 ///
-/// All `try_*_at` operations CAS against the exact descriptor captured here,
-/// so a stale view can never be applied — the CAS fails instead and the
+/// All `try_*_at` operations CAS against the exact `top` captured here, so
+/// a stale view can never be applied — the CAS fails instead and the
 /// caller re-probes, which is precisely the contention signal the 2D-Stack's
 /// search policy reacts to.
 pub struct DescView<'g, T> {
-    desc: Shared<'g, Descriptor<T>>,
+    top: Shared<'g, Node<T>>,
     count: usize,
-    empty: bool,
 }
 
 impl<'g, T> DescView<'g, T> {
-    /// The item count recorded in the descriptor.
+    /// The item count at snapshot time (the top node's height).
     #[inline]
     pub fn count(&self) -> usize {
         self.count
@@ -141,13 +134,16 @@ impl<'g, T> DescView<'g, T> {
     /// Whether the sub-stack was empty at snapshot time.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.empty
+        self.top.is_null()
     }
 }
 
 impl<T> fmt::Debug for DescView<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DescView").field("count", &self.count).field("empty", &self.empty).finish()
+        f.debug_struct("DescView")
+            .field("count", &self.count)
+            .field("empty", &self.is_empty())
+            .finish()
     }
 }
 
@@ -165,8 +161,8 @@ pub struct Contended<P>(pub P);
 /// retry loops — used by the `random`/`random-c2`/`k-robin` baselines) and
 /// single-attempt use against a validated snapshot (the `try_*_at` family —
 /// used by the 2D window logic, which must check the count against `Global`
-/// and apply the operation on the *same* descriptor). Descriptors and
-/// nodes are drawn from, and retired back to, the node pool (`pool.rs`).
+/// and apply the operation on the *same* `(top, count)` pair). Nodes are
+/// drawn from, and retired back to, the node pool (`pool.rs`).
 ///
 /// # Examples
 ///
@@ -182,39 +178,30 @@ pub struct Contended<P>(pub P);
 /// assert_eq!(s.pop(), None);
 /// ```
 pub struct SubStack<T> {
-    desc: Atomic<Descriptor<T>>,
+    top: Atomic<Node<T>>,
 }
 
 // SAFETY: the stack owns its nodes and hands values across threads only by
 // moving them out, so `T: Send` is the full requirement (same bounds as a
 // `Mutex<Vec<T>>`; the raw pointers are what suppress the auto-impl).
 unsafe impl<T: Send> Send for SubStack<T> {}
-// SAFETY: as above — shared access is mediated by the descriptor CAS.
+// SAFETY: as above — shared access is mediated by the CAS on `top`.
 unsafe impl<T: Send> Sync for SubStack<T> {}
 
 impl<T> SubStack<T> {
-    /// Creates an empty sub-stack (descriptor `{top: null, count: 0}`).
+    /// Creates an empty sub-stack (`top` null, count 0).
     pub fn new() -> Self {
-        SubStack { desc: Atomic::new(Descriptor { top: ptr::null(), count: 0 }) }
-    }
-
-    /// Allocates a descriptor from the node pool (a `Box`-compatible block).
-    #[inline]
-    fn alloc_desc(desc: Descriptor<T>) -> Owned<Descriptor<T>> {
-        // SAFETY: `pool::alloc` returns a unique, Box-compatible allocation
-        // owned by no one else.
-        unsafe { Owned::from_raw_ptr(pool::alloc(desc)) }
+        SubStack { top: Atomic::null() }
     }
 
     /// Takes a consistent `(top, count)` snapshot.
     #[inline]
     pub fn view<'g>(&self, guard: &'g Guard) -> DescView<'g, T> {
-        let desc = self.desc.load(Ordering::Acquire, guard);
-        // SAFETY: the descriptor pointer is never null (construction installs
-        // one and every CAS replaces it with another), and the epoch guard
-        // keeps the loaded descriptor alive.
-        let d = unsafe { desc.deref() };
-        DescView { desc, count: d.count, empty: d.top.is_null() }
+        let top = self.top.load(Ordering::Acquire, guard);
+        // SAFETY: the epoch guard keeps the loaded node alive, and its
+        // height was written before the CAS that published it.
+        let count = unsafe { top.as_ref() }.map_or(0, |n| n.height);
+        DescView { top, count }
     }
 
     /// The item count at this instant (a fresh snapshot's count).
@@ -233,37 +220,30 @@ impl<T> SubStack<T> {
     /// Attempts one push of `node` against the snapshot `view`.
     ///
     /// Returns the node back inside [`Contended`] if another thread won the
-    /// descriptor CAS in between — the 2D search policy responds to that
+    /// CAS on `top` in between — the 2D search policy responds to that
     /// with a random hop (§3: contention avoidance).
     ///
     /// # Errors
     ///
-    /// [`Contended`] when the descriptor changed since `view` was taken.
+    /// [`Contended`] when `top` changed since `view` was taken.
     pub fn try_push_at<'g>(
         &self,
         view: &DescView<'g, T>,
         node: PreparedNode<T>,
         guard: &'g Guard,
     ) -> Result<(), Contended<PreparedNode<T>>> {
-        // SAFETY: `view` was taken under `guard`, which pins the epoch the
-        // descriptor was reachable in.
-        let old = unsafe { view.desc.deref() };
-        // SAFETY: link the node in front of the current top — the node is
-        // private until the CAS below succeeds, so the plain write cannot
-        // race.
-        unsafe { (*node.raw).next = old.top };
-        let new = Self::alloc_desc(Descriptor { top: node.raw as *const _, count: old.count + 1 });
-        match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
-        {
+        // SAFETY: link the node on top of the snapshot — the node is
+        // private until the CAS below succeeds, so the plain writes cannot
+        // race. A node that lost an earlier CAS is simply re-linked here.
+        unsafe {
+            (*node.raw).next = view.top.as_raw();
+            (*node.raw).height = view.count + 1;
+        }
+        let new = Shared::from(node.raw.cast_const());
+        match self.top.compare_exchange(view.top, new, Ordering::AcqRel, Ordering::Acquire, guard) {
             Ok(_) => {
                 // The node is now owned by the list; forget the handle.
                 core::mem::forget(node);
-                // SAFETY: our CAS unlinked the displaced descriptor, and only
-                // the CAS winner retires it; concurrent snapshot holders are
-                // protected by their own guards until reclamation.
-                // Descriptors hold only raw pointers and a count — no drop
-                // glue — so recycling the storage is complete reclamation.
-                unsafe { guard.defer_destroy_with(view.desc, pool::recycle::<Descriptor<T>>) };
                 Ok(())
             }
             Err(_) => Err(Contended(node)),
@@ -277,44 +257,29 @@ impl<T> SubStack<T> {
     ///
     /// # Errors
     ///
-    /// [`Contended`] when the descriptor changed since `view` was taken.
+    /// [`Contended`] when `top` changed since `view` was taken.
     pub fn try_pop_at<'g>(
         &self,
         view: &DescView<'g, T>,
         guard: &'g Guard,
     ) -> Result<Option<T>, Contended<()>> {
-        // SAFETY: `view` was taken under `guard`, which pins the epoch the
-        // descriptor was reachable in.
-        let old = unsafe { view.desc.deref() };
-        if old.top.is_null() {
-            debug_assert_eq!(old.count, 0, "descriptor invariant: null top implies count 0");
+        // SAFETY: `view` was taken under `guard`, which keeps every node
+        // reachable at snapshot time alive.
+        let Some(top) = (unsafe { view.top.as_ref() }) else {
             return Ok(None);
-        }
-        // SAFETY: the epoch guard keeps every node that was reachable at
-        // snapshot time alive, and `top` was non-null above.
-        let top = unsafe { &*old.top };
-        let new = Self::alloc_desc(Descriptor { top: top.next, count: old.count - 1 });
-        match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
+        };
+        let next = Shared::from(top.next);
+        match self.top.compare_exchange(view.top, next, Ordering::AcqRel, Ordering::Acquire, guard)
         {
             Ok(_) => {
                 // SAFETY: we won the pop CAS, so we hold the unique right to
                 // consume this node's value; `value` is `ManuallyDrop`, so
-                // the deferred node deallocation won't double-drop it.
+                // the deferred node reclamation won't double-drop it.
                 let value = unsafe { ptr::read(&*top.value) };
-                // Node and descriptor were unlinked by the same CAS, so
-                // they are retired as a pair: one epoch fence instead of
-                // two. Both reclaims are storage-only — the node's value
-                // was consumed above and descriptors carry no drop glue.
-                // SAFETY: the CAS unlinked both the node and the displaced
-                // descriptor; only the winner retires them, exactly once.
-                unsafe {
-                    guard.defer_destroy_pair_with(
-                        Shared::from(old.top),
-                        pool::recycle::<Node<T>>,
-                        view.desc,
-                        pool::recycle::<Descriptor<T>>,
-                    );
-                }
+                // SAFETY: our CAS unlinked the node, and only the winner
+                // retires it, exactly once; the value was consumed above,
+                // so recycling the storage is complete reclamation.
+                unsafe { guard.defer_destroy_with(view.top, pool::recycle::<Node<T>>) };
                 Ok(Some(value))
             }
             Err(_) => Err(Contended(())),
@@ -367,14 +332,12 @@ impl<T> Drop for SubStack<T> {
         // still in the list) is sound.
         unsafe {
             let guard = crossbeam_epoch::unprotected();
-            let desc = self.desc.load(Ordering::Relaxed, guard);
-            let mut cur = desc.deref().top;
+            let mut cur = self.top.load(Ordering::Relaxed, guard).as_raw();
             while !cur.is_null() {
-                let mut boxed = Box::from_raw(cur as *mut Node<T>);
+                let mut boxed = Box::from_raw(cur.cast_mut());
                 ManuallyDrop::drop(&mut boxed.value);
                 cur = boxed.next;
             }
-            drop(desc.into_owned());
         }
     }
 }
@@ -529,31 +492,65 @@ mod tests {
         );
     }
 
+    /// The heights from `top` down; a consistent list reads `n, n-1, .., 1`.
+    fn heights<T>(s: &SubStack<T>) -> Vec<usize> {
+        let guard = crossbeam_epoch::pin();
+        let mut cur = s.view(&guard).top.as_raw();
+        let mut out = Vec::new();
+        // SAFETY: callers quiesce every other thread and `guard` pins the
+        // epoch, so each reachable node is live.
+        while let Some(node) = unsafe { cur.as_ref() } {
+            out.push(node.height);
+            cur = node.next;
+        }
+        out
+    }
+
     #[test]
-    fn count_never_desynchronizes_under_concurrency() {
+    fn heights_stay_consistent_after_concurrent_churn() {
+        const THREADS: usize = 3;
+        const ROUNDS: usize = 3_000;
         let s = Arc::new(SubStack::new());
-        let stop = Arc::new(AtomicUsize::new(0));
-        let mut joins = Vec::new();
-        for _ in 0..3 {
-            let s = Arc::clone(&s);
-            let stop = Arc::clone(&stop);
-            joins.push(crate::sync::thread::spawn(move || {
-                while stop.load(AOrd::SeqCst) == 0 {
-                    s.push(1u8);
-                    s.pop();
-                }
-            }));
-        }
-        for _ in 0..1_000 {
-            let guard = crossbeam_epoch::pin();
-            let v = s.view(&guard);
-            // count and emptiness always agree because they come from one
-            // descriptor.
-            assert_eq!(v.count() == 0, v.is_empty());
-        }
-        stop.store(1, AOrd::SeqCst);
+        let popped = Arc::new(AtomicUsize::new(0));
+        let joins: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                let popped = Arc::clone(&popped);
+                crate::sync::thread::spawn(move || {
+                    // Two pushes per pop: the stack grows and shrinks under
+                    // contention, so heights are re-linked on lost CASes.
+                    for i in 0..ROUNDS {
+                        s.push(i);
+                        if i % 2 == 1 && s.pop().is_some() {
+                            popped.fetch_add(1, AOrd::SeqCst);
+                        }
+                    }
+                })
+            })
+            .collect();
         for j in joins {
             j.join().unwrap();
         }
+        let h = heights(&s);
+        assert!(h.iter().rev().copied().eq(1..=h.len()), "height != next.height + 1");
+        assert_eq!(s.len(), h.len(), "count must equal the reachable node count");
+        assert_eq!(h.len(), THREADS * ROUNDS - popped.load(AOrd::SeqCst));
+    }
+
+    #[test]
+    fn prepared_node_takes_the_fresh_height_after_a_lost_cas() {
+        let s = SubStack::new();
+        s.push(1);
+        let guard = crossbeam_epoch::pin();
+        let stale = s.view(&guard);
+        s.push(2);
+        s.push(3);
+        let Err(Contended(node)) = s.try_push_at(&stale, PreparedNode::new(4), &guard) else {
+            panic!("stale view must not be applied");
+        };
+        let fresh = s.view(&guard);
+        assert_eq!(fresh.count(), 3);
+        assert!(s.try_push_at(&fresh, node, &guard).is_ok());
+        assert_eq!(heights(&s), [4, 3, 2, 1]);
     }
 }

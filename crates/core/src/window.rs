@@ -5,11 +5,10 @@
 //! module makes them *runtime-tunable* so a controller (see the
 //! `stack2d-adaptive` crate) can widen the window under contention and
 //! tighten it when load drops. The live configuration is a heap-allocated
-//! `WindowDesc` behind an epoch-protected atomic pointer, exactly like a
-//! sub-stack's `(top, count)` descriptor: a retune installs a fresh
-//! descriptor with a single-word CAS, operations re-read the pointer at
-//! every search round, and displaced descriptors are reclaimed through
-//! `crossbeam-epoch`. Operations therefore never block on a retune.
+//! `WindowDesc` behind an epoch-protected atomic pointer: a retune installs
+//! a fresh descriptor with a single-word CAS, operations re-read the
+//! pointer at every search round, and displaced descriptors are reclaimed
+//! through `crossbeam-epoch`. Operations therefore never block on a retune.
 //!
 //! Nothing in the descriptor machinery is stack-specific, so it lives in
 //! `ElasticWindow`, shared by all three windowed structures:
@@ -395,7 +394,7 @@ impl WindowInfo {
         self.params.shift()
     }
 
-    /// Descriptor generation: bumped by every retune and shrink commit.
+    /// Window generation: bumped by every retune and shrink commit.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation

@@ -1,14 +1,15 @@
 //! Node-pool churn under thread and retune pressure, plus batched-op
 //! equivalence properties (PR 10).
 //!
-//! The pool (`stack2d::pool`) recycles nodes and descriptors through
-//! thread-local freelists behind epoch reclamation. The failure modes
-//! worth money here are a block handed back to a freelist while another
-//! thread can still reach it (use-after-free — shows up as a lost or
-//! duplicated payload) and accounting drift between a payload's push and
-//! its drop. Both are exercised with drop-counting canaries; in
-//! debug builds [`pool_stats`] additionally proves recycling actually
-//! happened rather than silently degrading to malloc-per-op.
+//! The pool (`stack2d::pool`) recycles list nodes (one per push, retired
+//! once by the pop) through thread-local freelists behind epoch
+//! reclamation. The failure modes worth money here are a block handed
+//! back to a freelist while another thread can still reach it
+//! (use-after-free — shows up as a lost or duplicated payload) and
+//! accounting drift between a payload's push and its drop. Both are
+//! exercised with drop-counting canaries; in debug builds [`pool_stats`]
+//! additionally proves recycling actually happened rather than silently
+//! degrading to malloc-per-op.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

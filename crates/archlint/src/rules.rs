@@ -102,6 +102,7 @@ pub fn registry() -> &'static [Rule] {
                         | "crates/server/src/protocol.rs"
                         | "crates/server/src/frame.rs"
                         | "crates/server/src/conn.rs"
+                        | "crates/server/src/tenant.rs"
                 )
             },
             check: check_no_panic_in_hot_path,

@@ -2,12 +2,14 @@
 //!
 //! Each accepted socket gets one OS thread running [`serve_connection`].
 //! A request batch is executed in two passes: the first resolves every
-//! request against the tenant table (producing either an immediate
-//! response or a pending structure op holding its `Arc<Tenant>`), the
-//! second drives the pending ops through per-tenant [`OpsHandle`]s that
-//! are created at most once per frame and seeded with the connection id —
-//! so a connection replays a deterministic locality/hop sequence on every
-//! tenant it touches, batch after batch.
+//! request against the tenant table, looking up once per run of requests
+//! that name the same tenant (producing either an immediate response or
+//! a pending structure op holding its `Arc<Tenant>`), the second drives
+//! the pending ops through per-tenant [`OpsHandle`]s that are created at
+//! most once per frame and seeded with the connection id — so a
+//! connection replays a deterministic locality/hop sequence on every
+//! tenant it touches, batch after batch. The reply goes out as one write
+//! (see [`write_frame`]).
 //!
 //! Failure policy (exercised by `tests/protocol_fuzz.rs`): a frame that
 //! does not decode is answered with one typed `Malformed` error and the
@@ -102,7 +104,30 @@ fn unknown(personality: Personality, tenant: &str) -> Response {
     }
 }
 
-fn resolve(tenants: &TenantMap, req: &Request, shutdown: &mut bool) -> Slot {
+/// Tenant lookups for one frame's resolve pass. Consecutive lookups of
+/// the same `(personality, name)` touch the tenant map once and share the
+/// answer, found or not; a `Create` forgets it, since it may add the
+/// tenant a remembered miss named. Every request still gets its own
+/// slot, so errors stay per request and in order.
+struct RunResolver<'m, 'r> {
+    tenants: &'m TenantMap,
+    last: Option<(Personality, &'r str, Option<Arc<Tenant>>)>,
+}
+
+impl<'r> RunResolver<'_, 'r> {
+    fn get(&mut self, personality: Personality, name: &'r str) -> Option<Arc<Tenant>> {
+        match &self.last {
+            Some((p, n, found)) if *p == personality && *n == name => found.clone(),
+            _ => {
+                let found = self.tenants.get(personality, name);
+                self.last = Some((personality, name, found.clone()));
+                found
+            }
+        }
+    }
+}
+
+fn resolve<'r>(runs: &mut RunResolver<'_, 'r>, req: &'r Request, shutdown: &mut bool) -> Slot {
     match req {
         Request::Ping => Slot::Ready(Response::Pong),
         Request::Shutdown => {
@@ -110,22 +135,21 @@ fn resolve(tenants: &TenantMap, req: &Request, shutdown: &mut bool) -> Slot {
             Slot::Ready(Response::ShuttingDown)
         }
         Request::Create { personality, tenant, limit } => {
-            match tenants.get_or_create(*personality, tenant, *limit) {
+            runs.last = None;
+            match runs.tenants.get_or_create(*personality, tenant, *limit) {
                 Ok((_, fresh)) => Slot::Ready(Response::Created { fresh }),
                 Err(err) => Slot::Ready(err),
             }
         }
-        Request::Produce { personality, tenant, value } => {
-            match tenants.get(*personality, tenant) {
-                Some(t) if t.supports_ops() => Slot::Produce(t, *value),
-                Some(_) => Slot::Ready(Response::Error {
-                    code: ErrorCode::Unsupported,
-                    detail: "use acquire on a rate-limiter".to_string(),
-                }),
-                None => Slot::Ready(unknown(*personality, tenant)),
-            }
-        }
-        Request::Consume { personality, tenant } => match tenants.get(*personality, tenant) {
+        Request::Produce { personality, tenant, value } => match runs.get(*personality, tenant) {
+            Some(t) if t.supports_ops() => Slot::Produce(t, *value),
+            Some(_) => Slot::Ready(Response::Error {
+                code: ErrorCode::Unsupported,
+                detail: "use acquire on a rate-limiter".to_string(),
+            }),
+            None => Slot::Ready(unknown(*personality, tenant)),
+        },
+        Request::Consume { personality, tenant } => match runs.get(*personality, tenant) {
             Some(t) if t.supports_ops() => Slot::Consume(t),
             Some(_) => Slot::Ready(Response::Error {
                 code: ErrorCode::Unsupported,
@@ -140,12 +164,12 @@ fn resolve(tenants: &TenantMap, req: &Request, shutdown: &mut bool) -> Slot {
                     detail: format!("cost {cost} over ceiling {MAX_ACQUIRE_COST}"),
                 });
             }
-            match tenants.get(Personality::RateLimiter, tenant) {
+            match runs.get(Personality::RateLimiter, tenant) {
                 Some(t) => Slot::Acquire(t, *cost),
                 None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
             }
         }
-        Request::Reset { tenant } => match tenants.get(Personality::RateLimiter, tenant) {
+        Request::Reset { tenant } => match runs.get(Personality::RateLimiter, tenant) {
             Some(t) if t.limiter_reset() => Slot::Ready(Response::Done),
             Some(_) => Slot::Ready(Response::Error {
                 code: ErrorCode::Unsupported,
@@ -153,7 +177,7 @@ fn resolve(tenants: &TenantMap, req: &Request, shutdown: &mut bool) -> Slot {
             }),
             None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
         },
-        Request::Stats { personality, tenant } => match tenants.get(*personality, tenant) {
+        Request::Stats { personality, tenant } => match runs.get(*personality, tenant) {
             Some(t) => Slot::Ready(t.stats()),
             None => Slot::Ready(unknown(*personality, tenant)),
         },
@@ -177,7 +201,8 @@ pub(crate) fn execute_batch(
     reqs: &[Request],
     shutdown: &mut bool,
 ) -> Vec<Response> {
-    let slots: Vec<Slot> = reqs.iter().map(|req| resolve(tenants, req, shutdown)).collect();
+    let mut runs = RunResolver { tenants, last: None };
+    let slots: Vec<Slot> = reqs.iter().map(|req| resolve(&mut runs, req, shutdown)).collect();
     // Handles borrow the tenants kept alive inside `slots`; keyed by
     // tenant identity so every request in the frame that touches the same
     // tenant shares one handle.
@@ -386,6 +411,105 @@ mod tests {
                 Response::Empty,
             ]
         );
+    }
+
+    fn code(resp: &Response) -> Option<ErrorCode> {
+        match resp {
+            Response::Error { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_run_resolve_keeps_personalities_apart() {
+        let map = map();
+        let (q, p) = (Personality::TaskQueue, Personality::ObjectPool);
+        map.get_or_create(q, "x", 0).unwrap();
+        // object-pool/x does not exist: neither a hit nor a miss on
+        // task-queue/x may stand for it, in either order.
+        let resps = run(
+            &map,
+            &[
+                Request::Produce { personality: q, tenant: "x".into(), value: 7 },
+                Request::Produce { personality: p, tenant: "x".into(), value: 8 },
+                Request::Consume { personality: p, tenant: "x".into() },
+                Request::Consume { personality: q, tenant: "x".into() },
+            ],
+        );
+        assert_eq!(resps[0], Response::Done);
+        assert_eq!(code(&resps[1]), Some(ErrorCode::UnknownTenant));
+        assert_eq!(code(&resps[2]), Some(ErrorCode::UnknownTenant));
+        assert_eq!(resps[3], Response::Item { value: 7 });
+    }
+
+    #[test]
+    fn a_produce_run_on_a_rate_limiter_answers_each_request() {
+        let map = map();
+        map.get_or_create(Personality::RateLimiter, "api", 10).unwrap();
+        let produce = |v: u64| Request::Produce {
+            personality: Personality::RateLimiter,
+            tenant: "api".into(),
+            value: v,
+        };
+        let resps = run(&map, &(0..4).map(produce).collect::<Vec<_>>());
+        assert_eq!(resps.len(), 4);
+        assert!(resps.iter().all(|r| code(r) == Some(ErrorCode::Unsupported)), "{resps:?}");
+    }
+
+    #[test]
+    fn an_unknown_tenant_mid_frame_answers_per_request() {
+        let map = map();
+        let q = Personality::TaskQueue;
+        map.get_or_create(q, "t", 0).unwrap();
+        let produce =
+            |name: &str, v: u64| Request::Produce { personality: q, tenant: name.into(), value: v };
+        let resps = run(
+            &map,
+            &[
+                produce("t", 1),
+                produce("t", 2),
+                produce("ghost", 3),
+                produce("ghost", 4),
+                produce("t", 5),
+                Request::Consume { personality: q, tenant: "ghost".into() },
+            ],
+        );
+        assert_eq!(&resps[..2], &[Response::Done, Response::Done]);
+        assert_eq!(code(&resps[2]), Some(ErrorCode::UnknownTenant));
+        assert_eq!(code(&resps[3]), Some(ErrorCode::UnknownTenant));
+        assert_eq!(resps[4], Response::Done);
+        assert_eq!(code(&resps[5]), Some(ErrorCode::UnknownTenant));
+        let drained = run(&map, &vec![Request::Consume { personality: q, tenant: "t".into() }; 4]);
+        assert_eq!(drained.iter().filter(|r| matches!(r, Response::Item { .. })).count(), 3);
+    }
+
+    #[test]
+    fn an_over_ceiling_acquire_fails_only_at_its_index() {
+        let map = map();
+        map.get_or_create(Personality::RateLimiter, "api", 100).unwrap();
+        let acquire = |cost: u32| Request::Acquire { tenant: "api".into(), cost };
+        let resps = run(&map, &[acquire(1), acquire(MAX_ACQUIRE_COST + 1), acquire(1), acquire(1)]);
+        assert_eq!(resps[0], Response::Decision { allowed: true, observed: 1, limit: 100 });
+        assert_eq!(code(&resps[1]), Some(ErrorCode::BadRequest));
+        assert_eq!(resps[2], Response::Decision { allowed: true, observed: 2, limit: 100 });
+        assert_eq!(resps[3], Response::Decision { allowed: true, observed: 3, limit: 100 });
+    }
+
+    #[test]
+    fn a_create_between_lookups_is_seen_by_the_next_one() {
+        let map = map();
+        let q = Personality::TaskQueue;
+        let resps = run(
+            &map,
+            &[
+                Request::Produce { personality: q, tenant: "late".into(), value: 1 },
+                Request::Create { personality: q, tenant: "late".into(), limit: 0 },
+                Request::Produce { personality: q, tenant: "late".into(), value: 2 },
+            ],
+        );
+        assert_eq!(code(&resps[0]), Some(ErrorCode::UnknownTenant));
+        assert_eq!(resps[1], Response::Created { fresh: true });
+        assert_eq!(resps[2], Response::Done);
     }
 
     #[test]

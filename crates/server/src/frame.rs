@@ -142,15 +142,22 @@ fn read_body(
     Ok(FrameEvent::Frame(body))
 }
 
-/// Writes one frame (length prefix + body) and flushes.
+/// Writes one frame (length prefix + body) with a single `write_all`, then
+/// flushes.
+///
+/// Prefix and body go out in one buffer: both ends set `TCP_NODELAY`, so
+/// two writes would leave as two segments, and the peer's reader would
+/// wake on the 4-byte prefix only to block again for the body.
 ///
 /// # Errors
 ///
 /// Propagates the underlying write/flush error.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame body over 4 GiB"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -175,6 +182,28 @@ mod tests {
         }
         // Clean EOF afterwards.
         assert!(matches!(read_frame(&mut r, DEFAULT_MAX_FRAME_LEN).unwrap(), FrameEvent::Closed));
+    }
+
+    /// A writer that records the bytes of each `write` call separately.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        let mut w = Calls::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.0, vec![b"\x05\0\0\0hello".to_vec()], "prefix and body in one call");
     }
 
     #[test]

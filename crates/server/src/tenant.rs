@@ -199,9 +199,23 @@ impl std::fmt::Debug for Tenant {
     }
 }
 
+/// One name-keyed table per personality, indexed by [`slot`]. Keying by
+/// personality first lets [`TenantMap::get`] look a `&str` up without
+/// building an owned key.
+type Namespaces = [HashMap<String, Arc<Tenant>>; 3];
+
+/// The index of a personality's namespace in [`Namespaces`].
+fn slot(personality: Personality) -> usize {
+    match personality {
+        Personality::TaskQueue => 0,
+        Personality::RateLimiter => 1,
+        Personality::ObjectPool => 2,
+    }
+}
+
 /// The server's tenant table: get-or-create by `(personality, name)`.
 pub struct TenantMap {
-    tenants: Mutex<HashMap<(Personality, String), Arc<Tenant>>>,
+    tenants: Mutex<Namespaces>,
     config: TenantConfig,
     registry: Option<Arc<Registry>>,
 }
@@ -210,12 +224,12 @@ impl TenantMap {
     /// An empty table; tenants created through it use `config`, and — when
     /// a registry is given — get a telemetry scope each.
     pub fn new(config: TenantConfig, registry: Option<Arc<Registry>>) -> Self {
-        TenantMap { tenants: Mutex::new(HashMap::new()), config, registry }
+        TenantMap { tenants: Mutex::new(Default::default()), config, registry }
     }
 
-    /// Looks a tenant up without creating it.
+    /// Looks a tenant up without creating it; allocates nothing.
     pub fn get(&self, personality: Personality, name: &str) -> Option<Arc<Tenant>> {
-        self.tenants.lock().get(&(personality, name.to_string())).cloned()
+        self.tenants.lock()[slot(personality)].get(name).cloned()
     }
 
     /// Returns the named tenant, creating it on first use; the bool is
@@ -233,23 +247,23 @@ impl TenantMap {
         limit: u64,
     ) -> Result<(Arc<Tenant>, bool), Response> {
         let mut tenants = self.tenants.lock();
-        if let Some(t) = tenants.get(&(personality, name.to_string())) {
+        if let Some(t) = tenants[slot(personality)].get(name) {
             return Ok((Arc::clone(t), false));
         }
-        if tenants.len() >= self.config.max_tenants {
+        if tenants.iter().map(HashMap::len).sum::<usize>() >= self.config.max_tenants {
             return Err(Response::Error {
                 code: ErrorCode::TenantCapacity,
                 detail: format!("table full ({})", self.config.max_tenants),
             });
         }
         let tenant = Arc::new(self.build(personality, name, limit)?);
-        tenants.insert((personality, name.to_string()), Arc::clone(&tenant));
+        tenants[slot(personality)].insert(name.to_string(), Arc::clone(&tenant));
         Ok((tenant, true))
     }
 
     /// Every live tenant, in no particular order.
     pub fn all(&self) -> Vec<Arc<Tenant>> {
-        self.tenants.lock().values().cloned().collect()
+        self.tenants.lock().iter().flat_map(HashMap::values).cloned().collect()
     }
 
     fn scope_recorder(
@@ -305,7 +319,8 @@ impl TenantMap {
 
 impl std::fmt::Debug for TenantMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantMap").field("tenants", &self.tenants.lock().len()).finish()
+        let live: usize = self.tenants.lock().iter().map(HashMap::len).sum();
+        f.debug_struct("TenantMap").field("tenants", &live).finish()
     }
 }
 
@@ -331,6 +346,14 @@ mod tests {
         let (q2, fresh2) = map.get_or_create(Personality::TaskQueue, "orders", 0).unwrap();
         assert!(!fresh2);
         assert!(Arc::ptr_eq(&q, &q2));
+
+        // `get` takes a borrowed name and stays inside one namespace.
+        let name = String::from("orders");
+        assert!(Arc::ptr_eq(&map.get(Personality::TaskQueue, name.as_str()).unwrap(), &q));
+        assert!(Arc::ptr_eq(&map.get(Personality::RateLimiter, &name[..]).unwrap(), &l));
+        assert!(map.get(Personality::ObjectPool, "orders").is_none());
+        assert!(map.get(Personality::TaskQueue, "order").is_none());
+        assert_eq!(map.all().len(), 2);
     }
 
     #[test]
@@ -390,6 +413,11 @@ mod tests {
         map.get_or_create(Personality::TaskQueue, "a", 0).unwrap();
         let err = map.get_or_create(Personality::TaskQueue, "b", 0).unwrap_err();
         assert!(matches!(err, Response::Error { code: ErrorCode::TenantCapacity, .. }));
+        // The cap counts every namespace, and re-getting a live tenant
+        // is not a creation.
+        let err = map.get_or_create(Personality::RateLimiter, "a", 1).unwrap_err();
+        assert!(matches!(err, Response::Error { code: ErrorCode::TenantCapacity, .. }));
+        assert!(!map.get_or_create(Personality::TaskQueue, "a", 0).unwrap().1);
     }
 
     #[test]

@@ -218,12 +218,6 @@ impl<'a> Search<'a> {
     ) -> SearchStats {
         let mut stats = SearchStats::default();
         let max = max as u64;
-        // One retirement fence for the whole batch: every node the drain
-        // unlinks buffers inside this scope and is epoch-tagged
-        // when it drops (a later tag than per-op retirement would give —
-        // conservative, so reclamation is only ever delayed). A 1-op batch
-        // has nothing to amortize, so it skips the scope bookkeeping.
-        let _retire_scope = (max > 1).then(|| guard.retire_batch());
         let mut resume: Option<usize> = None;
         loop {
             // Re-read the window descriptor every round: retunes take

@@ -38,10 +38,18 @@ use core::alloc::Layout;
 use core::cell::Cell;
 use core::ptr;
 
-/// Maximum cached blocks per layout class per thread. Enough to absorb the
-/// node churn of a tight op loop; small enough that a thread parks at most
-/// a few KiB per class.
-const SHARD_CAP: usize = 128;
+/// Maximum cached blocks per layout class per thread.
+///
+/// Blocks come back in bursts: the epoch collector runs once per
+/// `COLLECT_EVERY` (256) retirements on a thread and frees, all at once,
+/// what earlier collections sealed — one buffer of 256 when the epoch
+/// advances at every collection, two when another thread's pin held it
+/// back once. A shard must hold a whole burst, at least
+/// 2 × `COLLECT_EVERY` = 512 blocks, or the overflow goes back to `free`
+/// while the pushes that follow go to `malloc`. 1024 keeps that relation
+/// with room to spare and parks at most a few tens of KiB per class on a
+/// thread.
+const SHARD_CAP: usize = 1024;
 
 /// Maximum distinct layout classes per thread (a process using the stack,
 /// the queue and the counter at several item types stays under this; extra
@@ -134,7 +142,7 @@ impl FreeList {
         }
         #[cfg(debug_assertions)]
         {
-            // Double-recycle detector: the shard is small, walk it.
+            // Double-recycle detector: walk the whole shard (debug only).
             let mut cursor = class.head.get();
             while !cursor.is_null() {
                 assert!(cursor != block, "block recycled twice into the node pool");

@@ -25,7 +25,7 @@ use crossbeam_utils::CachePadded;
 
 use stack2d::rng::HopRng;
 use stack2d::substack::{Contended, PreparedNode, SubStack};
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 /// Shared chassis: an array of counted sub-stacks.
 struct SubArray<T> {
@@ -134,7 +134,7 @@ impl<T> RandomStack<T> {
     where
         T: Send,
     {
-        self.handle().push(value);
+        self.ops_handle().produce(value);
     }
 
     /// Pop through a temporary handle.
@@ -142,7 +142,7 @@ impl<T> RandomStack<T> {
     where
         T: Send,
     {
-        self.handle().pop()
+        self.ops_handle().consume()
     }
 }
 
@@ -158,8 +158,8 @@ pub struct RandomHandle<'s, T> {
     rng: HopRng,
 }
 
-impl<T: Send> StackHandle<T> for RandomHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for RandomHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         let mut node = PreparedNode::new(value);
         let guard = crossbeam_epoch::pin();
         loop {
@@ -173,7 +173,7 @@ impl<T: Send> StackHandle<T> for RandomHandle<'_, T> {
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         let start = self.rng.bounded(self.stack.width());
         self.stack.arr.pop_with_sweep(start)
     }
@@ -185,17 +185,17 @@ impl<T> fmt::Debug for RandomHandle<'_, T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for RandomStack<T> {
+impl<T: Send> RelaxedOps<T> for RandomStack<T> {
     type Handle<'a>
         = RandomHandle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         RandomHandle { stack: self, rng: HopRng::from_thread() }
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         RandomHandle { stack: self, rng: HopRng::seeded(seed) }
     }
 
@@ -203,8 +203,6 @@ impl<T: Send> ConcurrentStack<T> for RandomStack<T> {
         "random"
     }
 }
-
-stack2d::impl_relaxed_ops_for_stack!(RandomStack);
 
 // ---------------------------------------------------------------------------
 // random-c2
@@ -250,7 +248,7 @@ impl<T> RandomC2Stack<T> {
     where
         T: Send,
     {
-        self.handle().push(value);
+        self.ops_handle().produce(value);
     }
 
     /// Pop through a temporary handle.
@@ -258,7 +256,7 @@ impl<T> RandomC2Stack<T> {
     where
         T: Send,
     {
-        self.handle().pop()
+        self.ops_handle().consume()
     }
 }
 
@@ -274,8 +272,8 @@ pub struct RandomC2Handle<'s, T> {
     rng: HopRng,
 }
 
-impl<T: Send> StackHandle<T> for RandomC2Handle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for RandomC2Handle<'_, T> {
+    fn produce(&mut self, value: T) {
         let mut node = PreparedNode::new(value);
         let guard = crossbeam_epoch::pin();
         let width = self.stack.width();
@@ -293,7 +291,7 @@ impl<T: Send> StackHandle<T> for RandomC2Handle<'_, T> {
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         let guard = crossbeam_epoch::pin();
         let width = self.stack.width();
         // Bounded number of two-sample attempts, then fall back to a
@@ -323,17 +321,17 @@ impl<T> fmt::Debug for RandomC2Handle<'_, T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for RandomC2Stack<T> {
+impl<T: Send> RelaxedOps<T> for RandomC2Stack<T> {
     type Handle<'a>
         = RandomC2Handle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         RandomC2Handle { stack: self, rng: HopRng::from_thread() }
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         RandomC2Handle { stack: self, rng: HopRng::seeded(seed) }
     }
 
@@ -341,8 +339,6 @@ impl<T: Send> ConcurrentStack<T> for RandomC2Stack<T> {
         "random-c2"
     }
 }
-
-stack2d::impl_relaxed_ops_for_stack!(RandomC2Stack);
 
 // ---------------------------------------------------------------------------
 // k-robin
@@ -356,7 +352,7 @@ stack2d::impl_relaxed_ops_for_stack!(RandomC2Stack);
 pub struct KRobinStack<T> {
     arr: SubArray<T>,
     /// Estimated out-of-order bound for a given thread count; reported via
-    /// [`ConcurrentStack::relaxation_bound`]. See [`KRobinStack::new`].
+    /// [`RelaxedOps::relaxation_bound`]. See [`KRobinStack::new`].
     bound: usize,
 }
 
@@ -405,7 +401,7 @@ impl<T> KRobinStack<T> {
     where
         T: Send,
     {
-        self.handle().push(value);
+        self.ops_handle().produce(value);
     }
 
     /// Pop through a temporary handle.
@@ -413,7 +409,7 @@ impl<T> KRobinStack<T> {
     where
         T: Send,
     {
-        self.handle().pop()
+        self.ops_handle().consume()
     }
 }
 
@@ -439,8 +435,8 @@ pub struct KRobinHandle<'s, T> {
     cursor: usize,
 }
 
-impl<T: Send> StackHandle<T> for KRobinHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for KRobinHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         let width = self.stack.width();
         let i = self.cursor % width;
         self.cursor = (self.cursor + 1) % width;
@@ -457,7 +453,7 @@ impl<T: Send> StackHandle<T> for KRobinHandle<'_, T> {
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         let width = self.stack.width();
         // Retreat to the sub-stack of the most recent un-popped push.
         self.cursor = (self.cursor + width - 1) % width;
@@ -485,17 +481,17 @@ impl<T> fmt::Debug for KRobinHandle<'_, T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for KRobinStack<T> {
+impl<T: Send> RelaxedOps<T> for KRobinStack<T> {
     type Handle<'a>
         = KRobinHandle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         KRobinHandle { stack: self, cursor: 0 }
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         // Round-robin carries no RNG; seed the starting cursor instead so
         // seeded runs still decorrelate their handles deterministically.
         KRobinHandle { stack: self, cursor: seed as usize % self.width().max(1) }
@@ -510,21 +506,19 @@ impl<T: Send> ConcurrentStack<T> for KRobinStack<T> {
     }
 }
 
-stack2d::impl_relaxed_ops_for_stack!(KRobinStack);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use stack2d::sync::Arc;
     use std::collections::HashSet;
 
-    fn exercise<S: ConcurrentStack<u64>>(stack: &S, n: u64) {
-        let mut h = stack.handle();
+    fn exercise<S: RelaxedOps<u64>>(stack: &S, n: u64) {
+        let mut h = stack.ops_handle();
         for i in 0..n {
-            h.push(i);
+            h.produce(i);
         }
         let mut seen = HashSet::new();
-        while let Some(v) = h.pop() {
+        while let Some(v) = h.consume() {
             assert!(seen.insert(v), "duplicate {v}");
         }
         assert_eq!(seen.len() as u64, n, "{} lost items", stack.name());
@@ -548,34 +542,34 @@ mod tests {
     #[test]
     fn width_one_random_is_strict() {
         let s = RandomStack::new(1);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..100 {
-            h.push(i);
+            h.produce(i);
         }
         for i in (0..100).rev() {
-            assert_eq!(h.pop(), Some(i));
+            assert_eq!(h.consume(), Some(i));
         }
     }
 
     #[test]
     fn width_one_krobin_is_strict() {
         let s = KRobinStack::new(1, 4);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..100 {
-            h.push(i);
+            h.produce(i);
         }
         for i in (0..100).rev() {
-            assert_eq!(h.pop(), Some(i));
+            assert_eq!(h.consume(), Some(i));
         }
-        assert_eq!(ConcurrentStack::<i32>::relaxation_bound(&s), Some(0));
+        assert_eq!(RelaxedOps::<i32>::relaxation_bound(&s), Some(0));
     }
 
     #[test]
     fn k_robin_spreads_items_evenly() {
         let s = KRobinStack::new(4, 1);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..400 {
-            h.push(i);
+            h.produce(i);
         }
         // A single round-robin pusher distributes exactly evenly.
         for sub in s.arr.subs.iter() {
@@ -586,9 +580,9 @@ mod tests {
     #[test]
     fn c2_balances_better_than_worst_case() {
         let s = RandomC2Stack::new(8);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..800 {
-            h.push(i);
+            h.produce(i);
         }
         let counts: Vec<usize> = s.arr.subs.iter().map(|x| x.len()).collect();
         let max = counts.iter().max().unwrap();
@@ -607,15 +601,15 @@ mod tests {
 
     #[test]
     fn names_match_paper_legends() {
-        assert_eq!(ConcurrentStack::<u8>::name(&RandomStack::<u8>::new(1)), "random");
-        assert_eq!(ConcurrentStack::<u8>::name(&RandomC2Stack::<u8>::new(1)), "random-c2");
-        assert_eq!(ConcurrentStack::<u8>::name(&KRobinStack::<u8>::new(1, 1)), "k-robin");
+        assert_eq!(RelaxedOps::<u8>::name(&RandomStack::<u8>::new(1)), "random");
+        assert_eq!(RelaxedOps::<u8>::name(&RandomC2Stack::<u8>::new(1)), "random-c2");
+        assert_eq!(RelaxedOps::<u8>::name(&KRobinStack::<u8>::new(1, 1)), "k-robin");
     }
 
     #[test]
     fn random_has_no_deterministic_bound() {
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&RandomStack::<u8>::new(4)), None);
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&RandomC2Stack::<u8>::new(4)), None);
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&RandomStack::<u8>::new(4)), None);
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&RandomC2Stack::<u8>::new(4)), None);
     }
 
     #[test]
@@ -625,7 +619,7 @@ mod tests {
                 let w = KRobinStack::<u8>::width_for_k(k, threads);
                 let s = KRobinStack::<u8>::new(w, threads);
                 assert!(
-                    ConcurrentStack::<u8>::relaxation_bound(&s).unwrap() <= k + 2 * threads,
+                    RelaxedOps::<u8>::relaxation_bound(&s).unwrap() <= k + 2 * threads,
                     "width_for_k produced an overshooting bound"
                 );
             }
@@ -634,19 +628,19 @@ mod tests {
 
     #[test]
     fn concurrent_conservation_all_variants() {
-        fn storm<S: ConcurrentStack<u64> + 'static>(stack: Arc<S>) {
+        fn storm<S: RelaxedOps<u64> + 'static>(stack: Arc<S>) {
             const THREADS: usize = 4;
             const PER: usize = 2_000;
             let mut joins = Vec::new();
             for t in 0..THREADS {
                 let stack = Arc::clone(&stack);
                 joins.push(stack2d::sync::thread::spawn(move || {
-                    let mut h = stack.handle();
+                    let mut h = stack.ops_handle();
                     let mut got = Vec::new();
                     for i in 0..PER {
-                        h.push((t * PER + i) as u64);
+                        h.produce((t * PER + i) as u64);
                         if i % 2 == 0 {
-                            if let Some(v) = h.pop() {
+                            if let Some(v) = h.consume() {
                                 got.push(v);
                             }
                         }
@@ -658,8 +652,8 @@ mod tests {
             for j in joins {
                 all.extend(j.join().unwrap());
             }
-            let mut h = stack.handle();
-            while let Some(v) = h.pop() {
+            let mut h = stack.ops_handle();
+            while let Some(v) = h.consume() {
                 all.push(v);
             }
             all.sort_unstable();

@@ -27,7 +27,7 @@ use crossbeam_utils::CachePadded;
 use stack2d::sync::Mutex;
 
 use stack2d::rng::HopRng;
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 /// Sentinel in the collision array: no thread waiting.
 const EMPTY: usize = usize::MAX;
@@ -76,13 +76,13 @@ pub struct EliminationStats {
 ///
 /// ```
 /// use stack2d_baselines::EliminationStack;
-/// use stack2d::{ConcurrentStack, StackHandle};
+/// use stack2d::{OpsHandle, RelaxedOps};
 ///
 /// let s = EliminationStack::new();
-/// let mut h = s.handle();
-/// h.push(5);
-/// assert_eq!(h.pop(), Some(5));
-/// assert_eq!(h.pop(), None);
+/// let mut h = s.ops_handle();
+/// h.produce(5);
+/// assert_eq!(h.consume(), Some(5));
+/// assert_eq!(h.consume(), None);
 /// ```
 pub struct EliminationStack<T> {
     head: Atomic<Node<T>>,
@@ -158,7 +158,7 @@ impl<T> EliminationStack<T> {
     where
         T: Send,
     {
-        self.handle().push(value);
+        self.ops_handle().produce(value);
     }
 
     /// Pops through a temporary handle.
@@ -170,7 +170,7 @@ impl<T> EliminationStack<T> {
     where
         T: Send,
     {
-        self.handle().pop()
+        self.ops_handle().consume()
     }
 
     fn try_central_push(&self, node: *mut Node<T>, guard: &Guard) -> bool {
@@ -471,8 +471,8 @@ impl<T> fmt::Debug for EliminationHandle<'_, T> {
     }
 }
 
-impl<T: Send> StackHandle<T> for EliminationHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for EliminationHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         let stack = self.stack;
         let guard = epoch::pin();
         let node =
@@ -488,7 +488,7 @@ impl<T: Send> StackHandle<T> for EliminationHandle<'_, T> {
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         let stack = self.stack;
         let guard = epoch::pin();
         loop {
@@ -505,7 +505,7 @@ impl<T: Send> StackHandle<T> for EliminationHandle<'_, T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for EliminationStack<T> {
+impl<T: Send> RelaxedOps<T> for EliminationStack<T> {
     type Handle<'a>
         = EliminationHandle<'a, T>
     where
@@ -514,12 +514,12 @@ impl<T: Send> ConcurrentStack<T> for EliminationStack<T> {
     /// # Panics
     ///
     /// Panics if more handles are live than the stack's capacity.
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         let id = self.free_slots.lock().pop().expect("elimination stack handle capacity exhausted");
         EliminationHandle { stack: self, id, rng: HopRng::from_thread() }
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         let id = self.free_slots.lock().pop().expect("elimination stack handle capacity exhausted");
         EliminationHandle { stack: self, id, rng: HopRng::seeded(seed) }
     }
@@ -533,8 +533,6 @@ impl<T: Send> ConcurrentStack<T> for EliminationStack<T> {
     }
 }
 
-stack2d::impl_relaxed_ops_for_stack!(EliminationStack);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,21 +542,21 @@ mod tests {
     #[test]
     fn sequential_lifo() {
         let s = EliminationStack::new();
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..500 {
-            h.push(i);
+            h.produce(i);
         }
         for i in (0..500).rev() {
-            assert_eq!(h.pop(), Some(i));
+            assert_eq!(h.consume(), Some(i));
         }
-        assert_eq!(h.pop(), None);
+        assert_eq!(h.consume(), None);
     }
 
     #[test]
     fn empty_pop_is_none() {
         let s: EliminationStack<u8> = EliminationStack::new();
-        let mut h = s.handle();
-        assert_eq!(h.pop(), None);
+        let mut h = s.ops_handle();
+        assert_eq!(h.consume(), None);
         assert!(s.is_empty());
     }
 
@@ -566,22 +564,22 @@ mod tests {
     fn handle_slots_recycle() {
         let s: EliminationStack<u8> = EliminationStack::with_capacity(2);
         for _ in 0..10 {
-            let h1 = s.handle();
-            let h2 = s.handle();
+            let h1 = s.ops_handle();
+            let h2 = s.ops_handle();
             drop(h1);
             drop(h2);
         }
         // Still exactly two slots available.
-        let _h1 = s.handle();
-        let _h2 = s.handle();
+        let _h1 = s.ops_handle();
+        let _h2 = s.ops_handle();
     }
 
     #[test]
     #[should_panic(expected = "capacity exhausted")]
     fn capacity_overflow_panics() {
         let s: EliminationStack<u8> = EliminationStack::with_capacity(1);
-        let _h1 = s.handle();
-        let _h2 = s.handle();
+        let _h1 = s.ops_handle();
+        let _h2 = s.ops_handle();
     }
 
     #[test]
@@ -593,12 +591,12 @@ mod tests {
         for t in 0..THREADS {
             let s = Arc::clone(&s);
             joins.push(stack2d::sync::thread::spawn(move || {
-                let mut h = s.handle();
+                let mut h = s.ops_handle();
                 let mut got = Vec::new();
                 for i in 0..PER {
-                    h.push((t * PER + i) as u64);
+                    h.produce((t * PER + i) as u64);
                     if i % 2 == 1 {
-                        if let Some(v) = h.pop() {
+                        if let Some(v) = h.consume() {
                             got.push(v);
                         }
                     }
@@ -610,8 +608,8 @@ mod tests {
         for j in joins {
             all.extend(j.join().unwrap());
         }
-        let mut h = s.handle();
-        while let Some(v) = h.pop() {
+        let mut h = s.ops_handle();
+        while let Some(v) = h.consume() {
             all.push(v);
         }
         all.sort_unstable();
@@ -628,11 +626,11 @@ mod tests {
         for t in 0..4u64 {
             let s = Arc::clone(&s);
             joins.push(stack2d::sync::thread::spawn(move || {
-                let mut h = s.handle();
+                let mut h = s.ops_handle();
                 let mut seen = HashSet::new();
                 for i in 0..20_000u64 {
-                    h.push(t * 1_000_000 + i);
-                    if let Some(v) = h.pop() {
+                    h.produce(t * 1_000_000 + i);
+                    if let Some(v) = h.consume() {
                         seen.insert(v);
                     }
                 }
@@ -668,11 +666,11 @@ mod tests {
                 let s = Arc::clone(&s);
                 let drops = Arc::clone(&drops);
                 joins.push(stack2d::sync::thread::spawn(move || {
-                    let mut h = s.handle();
+                    let mut h = s.ops_handle();
                     for i in 0..2_000 {
-                        h.push(Canary(drops.clone(), format!("v{i}")));
+                        h.produce(Canary(drops.clone(), format!("v{i}")));
                         if i % 2 == 0 {
-                            drop(h.pop());
+                            drop(h.consume());
                         }
                     }
                 }));
@@ -694,7 +692,7 @@ mod tests {
     #[test]
     fn trait_metadata() {
         let s: EliminationStack<u8> = EliminationStack::new();
-        assert_eq!(ConcurrentStack::<u8>::name(&s), "elimination");
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&s), Some(0));
+        assert_eq!(RelaxedOps::<u8>::name(&s), "elimination");
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&s), Some(0));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The PODC'18 evaluation compares the 2D-Stack with six other designs;
 //! this crate implements all of them behind the shared
-//! [`ConcurrentStack`](stack2d::ConcurrentStack) interface so the workload
-//! runner and the figure harness treat every algorithm identically:
+//! [`RelaxedOps`](stack2d::RelaxedOps) interface (produce = push,
+//! consume = pop) so the workload runner and the figure harness treat
+//! every algorithm identically:
 //!
 //! | paper legend  | type | semantics |
 //! |---------------|------|-----------|
@@ -21,11 +22,9 @@
 //! the 2D-Stack itself, exactly as in the paper — they differ only in
 //! scheduling, which is the point of the comparison.
 //!
-//! Every baseline is also drivable through the structure-generic
-//! [`RelaxedOps`](stack2d::RelaxedOps) contract (the stacks via
-//! [`impl_relaxed_ops_for_stack!`](stack2d::impl_relaxed_ops_for_stack),
-//! the locked queue directly), so the workload runner measures them with
-//! the exact same driver as the 2D structures.
+//! The 2D structures implement the same contract, so the workload runner
+//! measures every baseline, the locked queue included, with the exact
+//! same loop as the 2D-Stack.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,7 +7,7 @@ use core::fmt;
 
 use stack2d::sync::Mutex;
 
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 /// A `Mutex<Vec<T>>` stack with strict LIFO semantics.
 ///
@@ -70,23 +70,23 @@ pub struct LockedHandle<'s, T> {
     stack: &'s LockedStack<T>,
 }
 
-impl<T: Send> StackHandle<T> for LockedHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for LockedHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         self.stack.push(value);
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         self.stack.pop()
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for LockedStack<T> {
+impl<T: Send> RelaxedOps<T> for LockedStack<T> {
     type Handle<'a>
         = LockedHandle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         LockedHandle { stack: self }
     }
 
@@ -98,8 +98,6 @@ impl<T: Send> ConcurrentStack<T> for LockedStack<T> {
         Some(0)
     }
 }
-
-stack2d::impl_relaxed_ops_for_stack!(LockedStack);
 
 #[cfg(test)]
 mod tests {
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn trait_metadata() {
         let s: LockedStack<u8> = LockedStack::new();
-        assert_eq!(ConcurrentStack::<u8>::name(&s), "locked");
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&s), Some(0));
+        assert_eq!(RelaxedOps::<u8>::name(&s), "locked");
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&s), Some(0));
     }
 }

@@ -13,7 +13,7 @@ use stack2d::sync::atomic::Ordering;
 use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 use crossbeam_utils::Backoff;
 
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 struct Node<T> {
     value: ManuallyDrop<T>,
@@ -149,23 +149,23 @@ pub struct TreiberHandle<'s, T> {
     stack: &'s TreiberStack<T>,
 }
 
-impl<T: Send> StackHandle<T> for TreiberHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for TreiberHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         self.stack.push(value);
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         self.stack.pop()
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for TreiberStack<T> {
+impl<T: Send> RelaxedOps<T> for TreiberStack<T> {
     type Handle<'a>
         = TreiberHandle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         TreiberHandle { stack: self }
     }
 
@@ -177,8 +177,6 @@ impl<T: Send> ConcurrentStack<T> for TreiberStack<T> {
         Some(0)
     }
 }
-
-stack2d::impl_relaxed_ops_for_stack!(TreiberStack);
 
 #[cfg(test)]
 mod tests {
@@ -255,7 +253,7 @@ mod tests {
     #[test]
     fn trait_impl_reports_strict_bound() {
         let s: TreiberStack<u8> = TreiberStack::new();
-        assert_eq!(ConcurrentStack::<u8>::name(&s), "treiber");
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&s), Some(0));
+        assert_eq!(RelaxedOps::<u8>::name(&s), "treiber");
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&s), Some(0));
     }
 }

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use stack2d::Params;
 use stack2d_bench::BenchScale;
-use stack2d_harness::{AblationVariant, AnyStack};
+use stack2d_harness::{AblationVariant, AnyRelaxed};
 use stack2d_workload::{prefill, run_fixed_ops, OpMix};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_ablation(c: &mut Criterion) {
         group.bench_function(variant.name(), |b| {
             b.iter_batched(
                 || {
-                    let stack = AnyStack::two_d_with_config(variant.config(params));
+                    let stack = AnyRelaxed::two_d_with_config(variant.config(params));
                     prefill(&stack, scale.prefill);
                     stack
                 },

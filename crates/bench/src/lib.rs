@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
+use stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use stack2d_workload::prefill;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -48,8 +48,8 @@ impl BenchScale {
 }
 
 /// Builds a pre-filled stack for one measured batch.
-pub fn fresh_stack(algo: Algorithm, spec: BuildSpec, prefill_items: usize) -> AnyStack {
-    let stack = AnyStack::build(algo, spec);
+pub fn fresh_stack(algo: Algorithm, spec: BuildSpec, prefill_items: usize) -> AnyRelaxed {
+    let stack = AnyRelaxed::build(StructureKind::Stack(algo), spec);
     prefill(&stack, prefill_items);
     stack
 }

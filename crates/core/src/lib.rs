@@ -57,7 +57,8 @@
 //!   (`width = 4P`, tightest window).
 //! * [`Builder::for_bound`] — invert a relaxation budget `k` into the
 //!   maximal-width window staying within it; [`Params::for_k`] is the
-//!   thread-capped variant behind `AnyStack`'s Figure 1 configurations.
+//!   thread-capped variant behind the harness registry's Figure 1
+//!   configurations.
 //! * [`Builder::width`] / [`Builder::depth`] / [`Builder::shift`] — full
 //!   manual control, validated once at [`Builder::build`].
 //!
@@ -67,10 +68,10 @@
 //!   shared by all three windowed structures (with [`Builder::seed`] for
 //!   deterministic handle sequences and [`Builder::elastic_capacity`] for
 //!   retunable headroom);
-//! * [`traits`] — [`RelaxedOps`]/[`OpsHandle`], the structure-generic
-//!   produce/consume contract the workload runner drives, plus the
-//!   LIFO-specific [`ConcurrentStack`] refinement shared with every
-//!   baseline;
+//! * [`traits`] — [`RelaxedOps`]/[`OpsHandle`], the one structure-generic
+//!   produce/consume contract that the workload runner, the harness, the
+//!   quality oracle and the server drive, implemented by every structure
+//!   and every baseline;
 //! * [`stack`] / [`Stack2D`] — the 2D window algorithm;
 //! * [`substack`] — the descriptor-based lock-free sub-stack (public because
 //!   the paper's `random` / `random-c2` / `k-robin` baselines in
@@ -138,5 +139,5 @@ pub use queue2d::{Queue2D, QueueHandle};
 pub use search::{SearchConfig, SearchPolicy};
 pub use stack::{Handle2D, Stack2D};
 pub use telemetry::{NoopRecorder, Recorder};
-pub use traits::{ConcurrentStack, ElasticTarget, OpsHandle, RelaxedOps, StackHandle, StackOps};
+pub use traits::{ElasticTarget, OpsHandle, RelaxedOps};
 pub use window::{RetuneError, WindowInfo};

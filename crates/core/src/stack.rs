@@ -31,7 +31,7 @@ use crate::search::SearchConfig;
 use crate::substack::{Contended, PreparedNode, SubStack};
 use crate::sync::Arc;
 use crate::telemetry::{OpKind, Recorder, ShrinkPhase, TelemetryHook};
-use crate::traits::{ConcurrentStack, ElasticTarget, StackHandle};
+use crate::traits::{ElasticTarget, OpsHandle, RelaxedOps};
 use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 
 /// A scalable lock-free stack with tunable k-out-of-order relaxation.
@@ -662,17 +662,17 @@ impl<T: Send> FromIterator<T> for Stack2D<T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for Stack2D<T> {
+impl<T: Send> RelaxedOps<T> for Stack2D<T> {
     type Handle<'a>
         = Handle2D<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         Stack2D::handle(self)
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         Stack2D::handle_seeded(self, seed)
     }
 
@@ -685,25 +685,23 @@ impl<T: Send> ConcurrentStack<T> for Stack2D<T> {
     }
 }
 
-impl<T: Send> StackHandle<T> for Handle2D<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for Handle2D<'_, T> {
+    fn produce(&mut self, value: T) {
         Handle2D::push(self, value);
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         Handle2D::pop(self)
     }
 
-    fn push_n(&mut self, values: Vec<T>) {
+    fn produce_n(&mut self, values: Vec<T>) {
         Handle2D::push_n(self, values);
     }
 
-    fn pop_n(&mut self, max: usize) -> Vec<T> {
+    fn consume_n(&mut self, max: usize) -> Vec<T> {
         Handle2D::pop_n(self, max)
     }
 }
-
-crate::impl_relaxed_ops_for_stack!(Stack2D);
 
 impl<T: Send> ElasticTarget for Stack2D<T> {
     fn window(&self) -> WindowInfo {
@@ -1313,20 +1311,20 @@ mod tests {
 
     #[test]
     fn trait_object_style_generic_use() {
-        fn run<S: ConcurrentStack<u64>>(s: &S) -> usize {
-            let mut h = s.handle();
+        fn run<S: RelaxedOps<u64>>(s: &S) -> usize {
+            let mut h = s.ops_handle();
             for i in 0..64 {
-                StackHandle::push(&mut h, i);
+                h.produce(i);
             }
             let mut n = 0;
-            while StackHandle::pop(&mut h).is_some() {
+            while h.consume().is_some() {
                 n += 1;
             }
             n
         }
         let stack = Stack2D::new(params(4, 2, 2));
         assert_eq!(run(&stack), 64);
-        assert_eq!(ConcurrentStack::<u64>::name(&stack), "2D-stack");
-        assert_eq!(ConcurrentStack::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
+        assert_eq!(RelaxedOps::<u64>::name(&stack), "2D-stack");
+        assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
     }
 }

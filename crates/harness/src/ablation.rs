@@ -23,7 +23,7 @@ use stack2d::sync::Arc;
 use stack2d::{Counter2D, Params, Queue2D, Recorder, Stack2D};
 use stack2d_workload::OpMix;
 
-use crate::algorithms::{AblationVariant, AnyStack};
+use crate::algorithms::{AblationVariant, AnyRelaxed};
 use crate::experiment::{measure_relaxed, measure_stack, DataPoint, Settings};
 use crate::quality_run::{run_queue_overtakes, QualityConfig};
 use crate::report::{fmt_ops, Table};
@@ -61,10 +61,7 @@ pub fn run_mechanisms(spec: &AblationSpec, settings: &Settings) -> Vec<DataPoint
         .map(|v| {
             measure_stack(
                 v.name(),
-                || match AnyStack::two_d_with_config(v.config(params)) {
-                    s @ AnyStack::TwoD(_) => s,
-                    _ => unreachable!(),
-                },
+                || AnyRelaxed::two_d_with_config(v.config(params)),
                 spec.threads,
                 settings,
                 OpMix::symmetric(),

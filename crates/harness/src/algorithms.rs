@@ -1,21 +1,24 @@
-//! Algorithm registry: every stack of the paper's evaluation behind one
-//! concrete type, configured the way the figures need.
+//! Structure registry: every structure the harness drives — the seven
+//! stacks of the paper's evaluation, the windowed queue and counter
+//! extensions and the locked-queue baseline — behind one concrete type,
+//! configured the way the figures need.
 //!
-//! The workload runner is generic over [`ConcurrentStack`]; for sweeps that
+//! The workload runner is generic over [`RelaxedOps`]; for sweeps that
 //! iterate "for every algorithm …" the harness needs a single concrete
-//! type, so [`AnyStack`] wraps all seven contenders in an enum whose handle
-//! dispatches per operation. (Criterion micro-benches that care about the
-//! last nanosecond use the concrete types directly.)
+//! type, so [`AnyRelaxed`] wraps all ten structures in one flat enum whose
+//! handle, [`AnyRelaxedHandle`], dispatches per operation. Stack-only
+//! experiments build through [`StructureKind::Stack`]. (Criterion
+//! micro-benches that care about the last nanosecond use the concrete
+//! types directly.)
 
 use std::fmt;
 
 use stack2d::{
-    ConcurrentStack, Counter2D, CounterHandle, OpsHandle, Params, Queue2D, QueueHandle, RelaxedOps,
-    SearchConfig, SearchPolicy, Stack2D, StackHandle, StackOps,
+    Counter2D, OpsHandle, Params, Queue2D, RelaxedOps, SearchConfig, SearchPolicy, Stack2D,
 };
 use stack2d_baselines::{
-    EliminationStack, KRobinStack, KSegmentStack, LockedQueue, LockedQueueHandle, RandomC2Stack,
-    RandomStack, TreiberStack,
+    EliminationStack, KRobinStack, KSegmentStack, LockedQueue, RandomC2Stack, RandomStack,
+    TreiberStack,
 };
 
 /// The seven algorithms of the paper's evaluation.
@@ -77,7 +80,7 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// How an [`AnyStack`] instance should be configured.
+/// How an [`AnyRelaxed`] instance should be configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildSpec {
     /// Thread count the instance will face (`P`).
@@ -111,194 +114,6 @@ pub const FIXED_KSEGMENT: usize = 256;
 /// Relaxation budget `k-robin` tries to hold in the scalability experiment
 /// (it shrinks its width as threads grow, per the paper's §4 description).
 pub const KROBIN_QUALITY_TARGET: usize = 512;
-
-/// Any of the seven evaluated stacks, over `u64` items.
-// Variant sizes differ by a KiB (the 2D-stack's cache-padded counters);
-// harness code creates a handful of these per experiment, so boxing the
-// large variant would only add indirection on the measured path.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyStack {
-    /// See [`Algorithm::TwoD`].
-    TwoD(Stack2D<u64>),
-    /// See [`Algorithm::KRobin`].
-    KRobin(KRobinStack<u64>),
-    /// See [`Algorithm::KSegment`].
-    KSegment(KSegmentStack<u64>),
-    /// See [`Algorithm::Random`].
-    Random(RandomStack<u64>),
-    /// See [`Algorithm::RandomC2`].
-    RandomC2(RandomC2Stack<u64>),
-    /// See [`Algorithm::Elimination`].
-    Elimination(EliminationStack<u64>),
-    /// See [`Algorithm::Treiber`].
-    Treiber(TreiberStack<u64>),
-}
-
-impl AnyStack {
-    /// Builds `algo` configured per `spec`.
-    ///
-    /// Configuration mapping (documented per experiment in EXPERIMENTS.md):
-    ///
-    /// * `2D-stack` — `Params::for_k(k, P)` under a budget, else
-    ///   `Params::for_threads(P)` (width = 4P);
-    /// * `k-robin` — `width_for_k(k, P)` under a budget, else the width
-    ///   holding [`KROBIN_QUALITY_TARGET`];
-    /// * `k-segment` — segment size `k` under a budget (min 1), else
-    ///   [`FIXED_KSEGMENT`];
-    /// * `random` / `random-c2` — [`FIXED_WIDTH`] sub-stacks (no k
-    ///   calibration exists: their relaxation is unbounded);
-    /// * `elimination` / `treiber` — no tuning (strict semantics).
-    pub fn build(algo: Algorithm, spec: BuildSpec) -> AnyStack {
-        let threads = spec.threads.max(1);
-        match algo {
-            Algorithm::TwoD => {
-                let params = match spec.k {
-                    Some(k) => Params::for_k(k, threads),
-                    None => Params::for_threads(threads),
-                };
-                AnyStack::TwoD(Stack2D::new(params))
-            }
-            Algorithm::KRobin => {
-                let width = match spec.k {
-                    Some(k) => KRobinStack::<u64>::width_for_k(k, threads),
-                    None => KRobinStack::<u64>::width_for_k(KROBIN_QUALITY_TARGET, threads),
-                };
-                AnyStack::KRobin(KRobinStack::new(width, threads))
-            }
-            Algorithm::KSegment => {
-                // Segment size k+1 gives an out-of-order bound of exactly k.
-                let k = match spec.k {
-                    Some(k) => k + 1,
-                    None => FIXED_KSEGMENT,
-                };
-                AnyStack::KSegment(KSegmentStack::new(k))
-            }
-            Algorithm::Random => AnyStack::Random(RandomStack::new(FIXED_WIDTH)),
-            Algorithm::RandomC2 => AnyStack::RandomC2(RandomC2Stack::new(FIXED_WIDTH)),
-            Algorithm::Elimination => {
-                AnyStack::Elimination(EliminationStack::with_capacity(4 * threads + 16))
-            }
-            Algorithm::Treiber => AnyStack::Treiber(TreiberStack::new()),
-        }
-    }
-
-    /// Builds a 2D-Stack with an explicit search-policy configuration
-    /// (ablation experiments).
-    pub fn two_d_with_config(config: SearchConfig) -> AnyStack {
-        AnyStack::TwoD(Stack2D::with_config(config))
-    }
-
-    /// Which algorithm this instance is.
-    pub fn algorithm(&self) -> Algorithm {
-        match self {
-            AnyStack::TwoD(_) => Algorithm::TwoD,
-            AnyStack::KRobin(_) => Algorithm::KRobin,
-            AnyStack::KSegment(_) => Algorithm::KSegment,
-            AnyStack::Random(_) => Algorithm::Random,
-            AnyStack::RandomC2(_) => Algorithm::RandomC2,
-            AnyStack::Elimination(_) => Algorithm::Elimination,
-            AnyStack::Treiber(_) => Algorithm::Treiber,
-        }
-    }
-}
-
-impl fmt::Debug for AnyStack {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AnyStack({})", self.algorithm())
-    }
-}
-
-/// Handle to an [`AnyStack`]; dispatches per operation.
-pub enum AnyHandle<'a> {
-    /// Handle to a 2D-Stack.
-    TwoD(<Stack2D<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to a k-robin stack.
-    KRobin(<KRobinStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to a k-segment stack.
-    KSegment(<KSegmentStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to a random stack.
-    Random(<RandomStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to a random-c2 stack.
-    RandomC2(<RandomC2Stack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to an elimination stack.
-    Elimination(<EliminationStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-    /// Handle to a Treiber stack.
-    Treiber(<TreiberStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
-}
-
-impl StackHandle<u64> for AnyHandle<'_> {
-    fn push(&mut self, value: u64) {
-        match self {
-            AnyHandle::TwoD(h) => h.push(value),
-            AnyHandle::KRobin(h) => h.push(value),
-            AnyHandle::KSegment(h) => h.push(value),
-            AnyHandle::Random(h) => h.push(value),
-            AnyHandle::RandomC2(h) => h.push(value),
-            AnyHandle::Elimination(h) => h.push(value),
-            AnyHandle::Treiber(h) => h.push(value),
-        }
-    }
-
-    fn pop(&mut self) -> Option<u64> {
-        match self {
-            AnyHandle::TwoD(h) => h.pop(),
-            AnyHandle::KRobin(h) => h.pop(),
-            AnyHandle::KSegment(h) => h.pop(),
-            AnyHandle::Random(h) => h.pop(),
-            AnyHandle::RandomC2(h) => h.pop(),
-            AnyHandle::Elimination(h) => h.pop(),
-            AnyHandle::Treiber(h) => h.pop(),
-        }
-    }
-}
-
-impl ConcurrentStack<u64> for AnyStack {
-    type Handle<'a> = AnyHandle<'a>;
-
-    fn handle(&self) -> AnyHandle<'_> {
-        match self {
-            AnyStack::TwoD(s) => AnyHandle::TwoD(s.handle()),
-            AnyStack::KRobin(s) => AnyHandle::KRobin(s.handle()),
-            AnyStack::KSegment(s) => AnyHandle::KSegment(s.handle()),
-            AnyStack::Random(s) => AnyHandle::Random(s.handle()),
-            AnyStack::RandomC2(s) => AnyHandle::RandomC2(s.handle()),
-            AnyStack::Elimination(s) => AnyHandle::Elimination(s.handle()),
-            AnyStack::Treiber(s) => AnyHandle::Treiber(s.handle()),
-        }
-    }
-
-    fn handle_seeded(&self, seed: u64) -> AnyHandle<'_> {
-        match self {
-            AnyStack::TwoD(s) => AnyHandle::TwoD(s.handle_seeded(seed)),
-            AnyStack::KRobin(s) => AnyHandle::KRobin(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::KSegment(s) => AnyHandle::KSegment(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::Random(s) => AnyHandle::Random(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::RandomC2(s) => AnyHandle::RandomC2(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::Elimination(s) => {
-                AnyHandle::Elimination(ConcurrentStack::handle_seeded(s, seed))
-            }
-            AnyStack::Treiber(s) => AnyHandle::Treiber(ConcurrentStack::handle_seeded(s, seed)),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.algorithm().name()
-    }
-
-    fn relaxation_bound(&self) -> Option<usize> {
-        match self {
-            AnyStack::TwoD(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::KRobin(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::KSegment(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Random(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::RandomC2(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Elimination(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Treiber(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-        }
-    }
-}
-
-stack2d::impl_relaxed_ops_for_stack!(AnyStack => u64);
 
 /// Every structure the harness can drive through the structure-generic
 /// [`RelaxedOps`] contract: the seven stacks of the paper's evaluation
@@ -349,25 +164,118 @@ impl fmt::Display for StructureKind {
     }
 }
 
-/// Any harness-drivable structure behind one concrete [`RelaxedOps`] type
-/// — the registry the structure-generic sweeps iterate over, exactly as
-/// [`AnyStack`] serves the stack-only figures.
-#[allow(clippy::large_enum_variant)] // same trade-off as AnyStack
-pub enum AnyRelaxed {
-    /// One of the seven evaluated stacks.
-    Stack(AnyStack),
+/// Declares [`AnyRelaxed`], its handle enum [`AnyRelaxedHandle`] and the
+/// per-operation dispatch between them from one variant list, so the two
+/// enums cannot drift apart.
+macro_rules! registry {
+    ($($(#[$doc:meta])* $variant:ident($ty:ty) = $kind:expr,)+) => {
+        /// Any harness-drivable structure behind one concrete
+        /// [`RelaxedOps`] type — the registry every sweep iterates over.
+        // Variant sizes differ by a KiB (the 2D structures' cache-padded
+        // counters); harness code creates a handful of these per
+        // experiment, so boxing the large variants would only add
+        // indirection on the measured path.
+        #[allow(clippy::large_enum_variant)]
+        pub enum AnyRelaxed {
+            $($(#[$doc])* $variant($ty),)+
+        }
+
+        /// Handle to an [`AnyRelaxed`]; dispatches per operation.
+        pub enum AnyRelaxedHandle<'a> {
+            $($(#[$doc])* $variant(<$ty as RelaxedOps<u64>>::Handle<'a>),)+
+        }
+
+        impl AnyRelaxed {
+            /// Which structure this instance is.
+            pub fn kind(&self) -> StructureKind {
+                match self {
+                    $(AnyRelaxed::$variant(_) => $kind,)+
+                }
+            }
+        }
+
+        impl OpsHandle<u64> for AnyRelaxedHandle<'_> {
+            fn produce(&mut self, value: u64) {
+                match self {
+                    $(AnyRelaxedHandle::$variant(h) => h.produce(value),)+
+                }
+            }
+
+            fn consume(&mut self) -> Option<u64> {
+                match self {
+                    $(AnyRelaxedHandle::$variant(h) => h.consume(),)+
+                }
+            }
+        }
+
+        impl RelaxedOps<u64> for AnyRelaxed {
+            type Handle<'a> = AnyRelaxedHandle<'a>;
+
+            fn ops_handle(&self) -> AnyRelaxedHandle<'_> {
+                match self {
+                    $(AnyRelaxed::$variant(s) => AnyRelaxedHandle::$variant(s.ops_handle()),)+
+                }
+            }
+
+            fn ops_handle_seeded(&self, seed: u64) -> AnyRelaxedHandle<'_> {
+                match self {
+                    $(AnyRelaxed::$variant(s) => {
+                        AnyRelaxedHandle::$variant(s.ops_handle_seeded(seed))
+                    })+
+                }
+            }
+
+            fn name(&self) -> &'static str {
+                self.kind().name()
+            }
+
+            fn relaxation_bound(&self) -> Option<usize> {
+                match self {
+                    $(AnyRelaxed::$variant(s) => s.relaxation_bound(),)+
+                }
+            }
+        }
+    };
+}
+
+registry! {
+    /// See [`Algorithm::TwoD`].
+    TwoD(Stack2D<u64>) = StructureKind::Stack(Algorithm::TwoD),
+    /// See [`Algorithm::KRobin`].
+    KRobin(KRobinStack<u64>) = StructureKind::Stack(Algorithm::KRobin),
+    /// See [`Algorithm::KSegment`].
+    KSegment(KSegmentStack<u64>) = StructureKind::Stack(Algorithm::KSegment),
+    /// See [`Algorithm::Random`].
+    Random(RandomStack<u64>) = StructureKind::Stack(Algorithm::Random),
+    /// See [`Algorithm::RandomC2`].
+    RandomC2(RandomC2Stack<u64>) = StructureKind::Stack(Algorithm::RandomC2),
+    /// See [`Algorithm::Elimination`].
+    Elimination(EliminationStack<u64>) = StructureKind::Stack(Algorithm::Elimination),
+    /// See [`Algorithm::Treiber`].
+    Treiber(TreiberStack<u64>) = StructureKind::Stack(Algorithm::Treiber),
     /// The windowed FIFO queue.
-    Queue2D(Queue2D<u64>),
+    Queue2D(Queue2D<u64>) = StructureKind::Queue2D,
     /// The strict locked queue.
-    LockedQueue(LockedQueue<u64>),
+    LockedQueue(LockedQueue<u64>) = StructureKind::LockedQueue,
     /// The windowed sharded counter.
-    Counter2D(Counter2D),
+    Counter2D(Counter2D) = StructureKind::Counter2D,
 }
 
 impl AnyRelaxed {
-    /// Builds `kind` configured per `spec` (the 2D structures use the same
-    /// `Params::for_k` / `Params::for_threads` mapping as the 2D-Stack;
-    /// the locked queue has nothing to tune).
+    /// Builds `kind` configured per `spec`.
+    ///
+    /// Configuration mapping (documented per experiment in EXPERIMENTS.md):
+    ///
+    /// * `2D-stack`, `2d-queue`, `2d-counter` — `Params::for_k(k, P)`
+    ///   under a budget, else `Params::for_threads(P)` (width = 4P);
+    /// * `k-robin` — `width_for_k(k, P)` under a budget, else the width
+    ///   holding [`KROBIN_QUALITY_TARGET`];
+    /// * `k-segment` — segment size `k` under a budget (min 1), else
+    ///   [`FIXED_KSEGMENT`];
+    /// * `random` / `random-c2` — [`FIXED_WIDTH`] sub-stacks (no k
+    ///   calibration exists: their relaxation is unbounded);
+    /// * `elimination` / `treiber` / `locked-queue` — no tuning (strict
+    ///   semantics).
     pub fn build(kind: StructureKind, spec: BuildSpec) -> AnyRelaxed {
         let threads = spec.threads.max(1);
         let params = match spec.k {
@@ -375,7 +283,32 @@ impl AnyRelaxed {
             None => Params::for_threads(threads),
         };
         match kind {
-            StructureKind::Stack(algo) => AnyRelaxed::Stack(AnyStack::build(algo, spec)),
+            StructureKind::Stack(Algorithm::TwoD) => AnyRelaxed::TwoD(Stack2D::new(params)),
+            StructureKind::Stack(Algorithm::KRobin) => {
+                let width = match spec.k {
+                    Some(k) => KRobinStack::<u64>::width_for_k(k, threads),
+                    None => KRobinStack::<u64>::width_for_k(KROBIN_QUALITY_TARGET, threads),
+                };
+                AnyRelaxed::KRobin(KRobinStack::new(width, threads))
+            }
+            StructureKind::Stack(Algorithm::KSegment) => {
+                // Segment size k+1 gives an out-of-order bound of exactly k.
+                let k = match spec.k {
+                    Some(k) => k + 1,
+                    None => FIXED_KSEGMENT,
+                };
+                AnyRelaxed::KSegment(KSegmentStack::new(k))
+            }
+            StructureKind::Stack(Algorithm::Random) => {
+                AnyRelaxed::Random(RandomStack::new(FIXED_WIDTH))
+            }
+            StructureKind::Stack(Algorithm::RandomC2) => {
+                AnyRelaxed::RandomC2(RandomC2Stack::new(FIXED_WIDTH))
+            }
+            StructureKind::Stack(Algorithm::Elimination) => {
+                AnyRelaxed::Elimination(EliminationStack::with_capacity(4 * threads + 16))
+            }
+            StructureKind::Stack(Algorithm::Treiber) => AnyRelaxed::Treiber(TreiberStack::new()),
             StructureKind::Queue2D => {
                 AnyRelaxed::Queue2D(Queue2D::builder().params(params).build().expect("valid"))
             }
@@ -386,87 +319,16 @@ impl AnyRelaxed {
         }
     }
 
-    /// Which structure this instance is.
-    pub fn kind(&self) -> StructureKind {
-        match self {
-            AnyRelaxed::Stack(s) => StructureKind::Stack(s.algorithm()),
-            AnyRelaxed::Queue2D(_) => StructureKind::Queue2D,
-            AnyRelaxed::LockedQueue(_) => StructureKind::LockedQueue,
-            AnyRelaxed::Counter2D(_) => StructureKind::Counter2D,
-        }
+    /// Builds a 2D-Stack with an explicit search-policy configuration
+    /// (ablation experiments).
+    pub fn two_d_with_config(config: SearchConfig) -> AnyRelaxed {
+        AnyRelaxed::TwoD(Stack2D::with_config(config))
     }
 }
 
 impl fmt::Debug for AnyRelaxed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AnyRelaxed({})", self.kind())
-    }
-}
-
-/// Handle to an [`AnyRelaxed`]; dispatches per operation.
-pub enum AnyRelaxedHandle<'a> {
-    /// Handle to one of the seven stacks.
-    Stack(StackOps<AnyHandle<'a>>),
-    /// Handle to the windowed queue.
-    Queue2D(QueueHandle<'a, u64>),
-    /// Handle to the locked queue.
-    LockedQueue(LockedQueueHandle<'a, u64>),
-    /// Handle to the windowed counter.
-    Counter2D(CounterHandle<'a>),
-}
-
-impl OpsHandle<u64> for AnyRelaxedHandle<'_> {
-    fn produce(&mut self, value: u64) {
-        match self {
-            AnyRelaxedHandle::Stack(h) => h.produce(value),
-            AnyRelaxedHandle::Queue2D(h) => h.produce(value),
-            AnyRelaxedHandle::LockedQueue(h) => h.produce(value),
-            AnyRelaxedHandle::Counter2D(h) => h.produce(value),
-        }
-    }
-
-    fn consume(&mut self) -> Option<u64> {
-        match self {
-            AnyRelaxedHandle::Stack(h) => h.consume(),
-            AnyRelaxedHandle::Queue2D(h) => h.consume(),
-            AnyRelaxedHandle::LockedQueue(h) => h.consume(),
-            AnyRelaxedHandle::Counter2D(h) => h.consume(),
-        }
-    }
-}
-
-impl RelaxedOps<u64> for AnyRelaxed {
-    type Handle<'a> = AnyRelaxedHandle<'a>;
-
-    fn ops_handle(&self) -> AnyRelaxedHandle<'_> {
-        match self {
-            AnyRelaxed::Stack(s) => AnyRelaxedHandle::Stack(s.ops_handle()),
-            AnyRelaxed::Queue2D(q) => AnyRelaxedHandle::Queue2D(q.ops_handle()),
-            AnyRelaxed::LockedQueue(q) => AnyRelaxedHandle::LockedQueue(q.ops_handle()),
-            AnyRelaxed::Counter2D(c) => AnyRelaxedHandle::Counter2D(c.ops_handle()),
-        }
-    }
-
-    fn ops_handle_seeded(&self, seed: u64) -> AnyRelaxedHandle<'_> {
-        match self {
-            AnyRelaxed::Stack(s) => AnyRelaxedHandle::Stack(s.ops_handle_seeded(seed)),
-            AnyRelaxed::Queue2D(q) => AnyRelaxedHandle::Queue2D(q.ops_handle_seeded(seed)),
-            AnyRelaxed::LockedQueue(q) => AnyRelaxedHandle::LockedQueue(q.ops_handle_seeded(seed)),
-            AnyRelaxed::Counter2D(c) => AnyRelaxedHandle::Counter2D(c.ops_handle_seeded(seed)),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    fn relaxation_bound(&self) -> Option<usize> {
-        match self {
-            AnyRelaxed::Stack(s) => RelaxedOps::relaxation_bound(s),
-            AnyRelaxed::Queue2D(q) => RelaxedOps::relaxation_bound(q),
-            AnyRelaxed::LockedQueue(q) => RelaxedOps::relaxation_bound(q),
-            AnyRelaxed::Counter2D(c) => RelaxedOps::relaxation_bound(c),
-        }
     }
 }
 
@@ -532,17 +394,21 @@ impl fmt::Display for AblationVariant {
 mod tests {
     use super::*;
 
+    fn stack(algo: Algorithm, spec: BuildSpec) -> AnyRelaxed {
+        AnyRelaxed::build(StructureKind::Stack(algo), spec)
+    }
+
     #[test]
     fn all_algorithms_build_and_run() {
         for algo in Algorithm::ALL {
-            let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
-            assert_eq!(stack.algorithm(), algo);
-            let mut h = stack.handle();
+            let stack = stack(algo, BuildSpec::high_throughput(2));
+            assert_eq!(stack.kind(), StructureKind::Stack(algo));
+            let mut h = stack.ops_handle();
             for i in 0..100 {
-                h.push(i);
+                h.produce(i);
             }
             let mut n = 0;
-            while h.pop().is_some() {
+            while h.consume().is_some() {
                 n += 1;
             }
             assert_eq!(n, 100, "{algo} lost items");
@@ -553,8 +419,8 @@ mod tests {
     fn k_budget_is_respected_by_bounded_algos() {
         for algo in Algorithm::K_BOUNDED {
             for k in [0, 3, 30, 300, 3_000] {
-                let stack = AnyStack::build(algo, BuildSpec::with_k(4, k));
-                if let Some(bound) = ConcurrentStack::relaxation_bound(&stack) {
+                let stack = stack(algo, BuildSpec::with_k(4, k));
+                if let Some(bound) = stack.relaxation_bound() {
                     // k-robin's bound is an estimate; allow its documented
                     // slack of one round per thread.
                     let slack = if algo == Algorithm::KRobin { 8 } else { 0 };
@@ -575,23 +441,24 @@ mod tests {
     #[test]
     fn strict_algos_report_zero_bound() {
         for algo in [Algorithm::Treiber, Algorithm::Elimination] {
-            let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
-            assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(0), "{algo}");
+            let stack = stack(algo, BuildSpec::high_throughput(2));
+            assert_eq!(stack.relaxation_bound(), Some(0), "{algo}");
         }
     }
 
     #[test]
     fn unbounded_algos_report_none() {
         for algo in [Algorithm::Random, Algorithm::RandomC2] {
-            let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
-            assert_eq!(ConcurrentStack::relaxation_bound(&stack), None, "{algo}");
+            let stack = stack(algo, BuildSpec::high_throughput(2));
+            assert_eq!(stack.relaxation_bound(), None, "{algo}");
         }
     }
 
     #[test]
     fn two_d_high_throughput_uses_4p() {
-        let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::high_throughput(8));
-        let AnyStack::TwoD(s) = stack else { unreachable!() };
+        let AnyRelaxed::TwoD(s) = stack(Algorithm::TwoD, BuildSpec::high_throughput(8)) else {
+            unreachable!()
+        };
         assert_eq!(s.params().width(), 32);
     }
 
@@ -599,21 +466,21 @@ mod tests {
     fn ablation_variants_all_build() {
         let params = Params::new(8, 2, 1).unwrap();
         for v in AblationVariant::ALL {
-            let stack = AnyStack::two_d_with_config(v.config(params));
-            let mut h = stack.handle();
-            h.push(1);
-            assert_eq!(h.pop(), Some(1), "{v}");
+            let stack = AnyRelaxed::two_d_with_config(v.config(params));
+            let mut h = stack.ops_handle();
+            h.produce(1);
+            assert_eq!(h.consume(), Some(1), "{v}");
         }
     }
 
     #[test]
     fn krobin_width_shrinks_with_threads_in_fig2_config() {
-        let w2 = match AnyStack::build(Algorithm::KRobin, BuildSpec::high_throughput(2)) {
-            AnyStack::KRobin(s) => s.width(),
+        let w2 = match stack(Algorithm::KRobin, BuildSpec::high_throughput(2)) {
+            AnyRelaxed::KRobin(s) => s.width(),
             _ => unreachable!(),
         };
-        let w16 = match AnyStack::build(Algorithm::KRobin, BuildSpec::high_throughput(16)) {
-            AnyStack::KRobin(s) => s.width(),
+        let w16 = match stack(Algorithm::KRobin, BuildSpec::high_throughput(16)) {
+            AnyRelaxed::KRobin(s) => s.width(),
             _ => unreachable!(),
         };
         assert!(w16 < w2, "k-robin must shed sub-stacks as P grows: {w2} -> {w16}");

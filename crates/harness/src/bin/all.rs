@@ -13,8 +13,8 @@
 
 use stack2d_harness::latency::{run_latency, LatencySpec};
 use stack2d_harness::{
-    ablation, asymmetry, fig1, fig2, fig3, latency, write_csv, Algorithm, AnyStack, BuildSpec,
-    Settings,
+    ablation, asymmetry, fig1, fig2, fig3, latency, write_csv, Algorithm, AnyRelaxed, BuildSpec,
+    Settings, StructureKind,
 };
 
 fn main() {
@@ -80,7 +80,8 @@ fn main() {
     };
     let mut rows = Vec::new();
     for algo in Algorithm::ALL {
-        let stack = AnyStack::build(algo, BuildSpec::high_throughput(threads));
+        let stack =
+            AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(threads));
         rows.push((algo.name().to_string(), run_latency(&stack, &spec)));
     }
     let t = latency::to_table(&rows);

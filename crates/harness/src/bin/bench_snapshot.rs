@@ -10,6 +10,12 @@
 //!   counter, locked-queue baseline, 2D-stack reference) run in-process,
 //!   recorded as ops/s per `(structure, threads)`.
 //!
+//! A third section, **code_lines**, counts the git-tracked `.rs` files of
+//! each `crates/*` directory and of the root `src`, `tests` and `examples`
+//! (`vendor/` and `perfbench/` are left out): physical lines, and code
+//! lines (neither blank nor starting with `//`), so the size trend sits
+//! next to the nanoseconds.
+//!
 //! Scale knobs are the usual `STACK2D_*` / `STACK2D_BENCH_*` environment
 //! variables; `STACK2D_SNAPSHOT_ID` (default `6`) names the output file and
 //! `STACK2D_SNAPSHOT_OUT` (default `.`) picks the directory. Snapshots are
@@ -101,6 +107,52 @@ fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Physical and code lines of one area of the tree.
+#[derive(Default)]
+struct AreaLines {
+    lines: usize,
+    code: usize,
+}
+
+/// The area a tracked path counts under, or `None` outside the counted set.
+fn area_of(path: &str) -> Option<String> {
+    let mut parts = path.split('/');
+    match (parts.next()?, parts.next()) {
+        ("crates", Some(name)) => Some(format!("crates/{name}")),
+        (top @ ("src" | "tests" | "examples"), Some(_)) => Some(top.to_string()),
+        _ => None,
+    }
+}
+
+/// Counts the git-tracked `.rs` files of the repository around the
+/// working directory, per area, in area order.
+fn code_lines() -> Vec<(String, AreaLines)> {
+    let git = |args: &[&str]| {
+        let out = Command::new("git")
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn git {args:?}: {e}"));
+        assert!(out.status.success(), "git {args:?} failed");
+        String::from_utf8(out.stdout).expect("git prints UTF-8 paths")
+    };
+    let root = git(&["rev-parse", "--show-toplevel"]).trim().to_string();
+    let mut areas = std::collections::BTreeMap::<String, AreaLines>::new();
+    for path in git(&["-C", &root, "ls-files", "--", "*.rs"]).lines() {
+        let Some(area) = area_of(path) else { continue };
+        let text = std::fs::read_to_string(format!("{root}/{path}"))
+            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let a = areas.entry(area).or_default();
+        for line in text.lines() {
+            a.lines += 1;
+            let t = line.trim_start();
+            if !t.is_empty() && !t.starts_with("//") {
+                a.code += 1;
+            }
+        }
+    }
+    areas.into_iter().collect()
+}
+
 fn run_bench_target(target: &str) -> Vec<BenchLine> {
     eprintln!("bench_snapshot: running cargo bench --bench {target} ...");
     let out = Command::new("cargo")
@@ -127,8 +179,8 @@ fn main() {
     let _ = writeln!(json, "  \"snapshot\": {id},");
     json.push_str(
         "  \"description\": \"Perf-trajectory snapshot: vendored-criterion medians per bench \
-         target plus the fig3 throughput sweep. Container-shaped numbers; compare across \
-         snapshots, not to the paper.\",\n",
+         target, the fig3 throughput sweep and per-area Rust line counts. Container-shaped \
+         numbers; compare across snapshots, not to the paper.\",\n",
     );
     let _ = writeln!(
         json,
@@ -183,9 +235,42 @@ fn main() {
             if i + 1 == points.len() { "" } else { "," },
         );
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+
+    // Section three: tracked Rust lines per area.
+    let areas = code_lines();
+    let (lines, code) = areas.iter().fold((0, 0), |(l, c), (_, a)| (l + a.lines, c + a.code));
+    json.push_str("  \"code_lines\": {\n    \"areas\": [\n");
+    for (i, (area, a)) in areas.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"area\": \"{}\", \"lines\": {}, \"code\": {}}}{}",
+            json_escape(area),
+            a.lines,
+            a.code,
+            if i + 1 == areas.len() { "" } else { "," },
+        );
+    }
+    let _ = writeln!(json, "    ],\n    \"total\": {{\"lines\": {lines}, \"code\": {code}}}");
+    json.push_str("  }\n}\n");
 
     let path = format!("{out_dir}/BENCH_{id}.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     eprintln!("bench_snapshot: wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn areas_are_crates_and_the_root_source_dirs() {
+        assert_eq!(area_of("crates/core/src/stack.rs").as_deref(), Some("crates/core"));
+        assert_eq!(area_of("src/lib.rs").as_deref(), Some("src"));
+        assert_eq!(area_of("tests/relaxed_ops.rs").as_deref(), Some("tests"));
+        assert_eq!(area_of("examples/quickstart.rs").as_deref(), Some("examples"));
+        assert_eq!(area_of("vendor/serde/src/lib.rs"), None);
+        assert_eq!(area_of("perfbench/src/main.rs"), None);
+        assert_eq!(area_of("build.rs"), None);
+    }
 }

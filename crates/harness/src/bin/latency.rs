@@ -6,7 +6,7 @@
 //! ```
 
 use stack2d_harness::latency::{run_latency, to_table, LatencySpec};
-use stack2d_harness::{write_csv, Algorithm, AnyStack, BuildSpec};
+use stack2d_harness::{write_csv, Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 
 fn main() {
     let threads: usize =
@@ -17,7 +17,8 @@ fn main() {
     eprintln!("latency: P={threads}, {} timed ops/thread", spec.ops_per_thread);
     let mut rows = Vec::new();
     for algo in Algorithm::ALL {
-        let stack = AnyStack::build(algo, BuildSpec::high_throughput(threads));
+        let stack =
+            AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(threads));
         rows.push((algo.name().to_string(), run_latency(&stack, &spec)));
     }
     let table = to_table(&rows);

@@ -17,11 +17,11 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use stack2d::{ConcurrentStack, RelaxedOps};
+use stack2d::RelaxedOps;
 use stack2d_quality::ErrorSummary;
 use stack2d_workload::{run_throughput, OpMix, RunConfig};
 
-use crate::algorithms::{Algorithm, AnyStack, BuildSpec};
+use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use crate::quality_run::{run_quality, QualityConfig};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -92,52 +92,18 @@ pub struct DataPoint {
 }
 
 /// Measures one algorithm configuration: `repeats` timed throughput runs
-/// (averaged) plus one quality run.
+/// (averaged) plus one quality run — [`measure_stack`] over the registry
+/// stack built from `spec`, labelled with the budget it was built for.
 pub fn measure(algo: Algorithm, spec: BuildSpec, settings: &Settings, mix: OpMix) -> DataPoint {
-    let mut throughputs = Vec::with_capacity(settings.repeats);
-    let mut k_bound = None;
-    for rep in 0..settings.repeats.max(1) {
-        let stack = AnyStack::build(algo, spec);
-        k_bound = RelaxedOps::relaxation_bound(&stack);
-        let cfg = RunConfig {
-            threads: spec.threads,
-            duration: Duration::from_millis(settings.duration_ms as u64),
-            mix,
-            prefill: settings.prefill,
-            seed: 0xBEEF + rep as u64,
-            think_work: 0,
-        };
-        throughputs.push(run_throughput(&stack, &cfg).throughput());
-    }
-    let throughput = throughputs.iter().sum::<f64>() / throughputs.len() as f64;
-
-    let stack = AnyStack::build(algo, spec);
-    let quality = run_quality(
-        &stack,
-        &QualityConfig {
-            threads: spec.threads,
-            ops_per_thread: settings.quality_ops / spec.threads.max(1),
-            mix,
-            prefill: settings.prefill,
-            seed: 0xFACE,
-        },
-    )
-    .summary();
-
-    DataPoint {
-        algo: algo.name().to_string(),
-        threads: spec.threads,
-        k_budget: spec.k,
-        k_bound,
-        throughput,
-        quality,
-    }
+    let build = || AnyRelaxed::build(StructureKind::Stack(algo), spec);
+    let point = measure_stack(algo.name(), build, spec.threads, settings, mix);
+    DataPoint { k_budget: spec.k, ..point }
 }
 
-/// Measures a 2D-Stack built from an explicit config (ablations), same
-/// protocol as [`measure`]: the generic throughput pass of
+/// Measures a stack built by `build` (registry stacks, ablation configs),
+/// same protocol as [`measure`]: the generic throughput pass of
 /// [`measure_relaxed`] plus the stack quality oracle.
-pub fn measure_stack<S: ConcurrentStack<u64> + RelaxedOps<u64>>(
+pub fn measure_stack<S: RelaxedOps<u64>>(
     label: &str,
     build: impl Fn() -> S,
     threads: usize,

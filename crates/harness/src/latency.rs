@@ -114,11 +114,15 @@ pub fn to_table(rows: &[(String, LatencyResult)]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Algorithm, AnyStack, BuildSpec};
+    use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
+
+    fn stack(algo: Algorithm, spec: BuildSpec) -> AnyRelaxed {
+        AnyRelaxed::build(StructureKind::Stack(algo), spec)
+    }
 
     #[test]
     fn latency_run_counts_every_operation() {
-        let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::high_throughput(2));
+        let stack = stack(Algorithm::TwoD, BuildSpec::high_throughput(2));
         let spec =
             LatencySpec { threads: 2, ops_per_thread: 2_000, prefill: 256, ..Default::default() };
         let r = run_latency(&stack, &spec);
@@ -129,7 +133,7 @@ mod tests {
 
     #[test]
     fn table_has_two_rows_per_algorithm() {
-        let stack = AnyStack::build(Algorithm::Treiber, BuildSpec::high_throughput(1));
+        let stack = stack(Algorithm::Treiber, BuildSpec::high_throughput(1));
         let spec =
             LatencySpec { threads: 1, ops_per_thread: 500, prefill: 64, ..Default::default() };
         let r = run_latency(&stack, &spec);
@@ -141,7 +145,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
-        let stack = AnyStack::build(Algorithm::Treiber, BuildSpec::high_throughput(1));
+        let stack = stack(Algorithm::Treiber, BuildSpec::high_throughput(1));
         run_latency(&stack, &LatencySpec { threads: 0, ..Default::default() });
     }
 }

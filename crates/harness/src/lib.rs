@@ -40,8 +40,7 @@ pub mod telemetry;
 pub mod tuning;
 
 pub use algorithms::{
-    AblationVariant, Algorithm, AnyHandle, AnyRelaxed, AnyRelaxedHandle, AnyStack, BuildSpec,
-    StructureKind,
+    AblationVariant, Algorithm, AnyRelaxed, AnyRelaxedHandle, BuildSpec, StructureKind,
 };
 pub use experiment::{measure, measure_relaxed, measure_stack, DataPoint, Settings};
 pub use quality_run::{run_quality, run_queue_overtakes, QualityConfig};

@@ -7,7 +7,7 @@
 //! throughput runs (the oracle's serialization would distort timing).
 
 use stack2d::rng::HopRng;
-use stack2d::{ConcurrentStack, Queue2D};
+use stack2d::{Queue2D, RelaxedOps};
 use stack2d_quality::segmented_queue::MeasuredElasticQueue;
 use stack2d_quality::{ErrorStats, Label, MeasuredStack};
 use stack2d_workload::OpMix;
@@ -41,7 +41,7 @@ impl Default for QualityConfig {
 
 /// Runs the measured workload against `stack`, returning the per-pop error
 /// distances.
-pub fn run_quality<S: ConcurrentStack<Label>>(stack: &S, cfg: &QualityConfig) -> ErrorStats {
+pub fn run_quality<S: RelaxedOps<Label>>(stack: &S, cfg: &QualityConfig) -> ErrorStats {
     assert!(cfg.threads > 0, "at least one thread required");
     let measured = MeasuredStack::new(stack);
     measured.prefill(cfg.prefill);
@@ -109,7 +109,11 @@ pub fn run_queue_overtakes(queue: &Queue2D<Label>, cfg: &QualityConfig) -> Error
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Algorithm, AnyStack, BuildSpec};
+    use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
+
+    fn stack(algo: Algorithm, spec: BuildSpec) -> AnyRelaxed {
+        AnyRelaxed::build(StructureKind::Stack(algo), spec)
+    }
     use stack2d_baselines::TreiberStack;
 
     #[test]
@@ -130,7 +134,7 @@ mod tests {
 
     #[test]
     fn two_d_single_thread_respects_theorem_bound() {
-        let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, 60));
+        let stack = stack(Algorithm::TwoD, BuildSpec::with_k(1, 60));
         let bound = stack.relaxation_bound().unwrap();
         let stats = run_quality(
             &stack,
@@ -160,15 +164,15 @@ mod tests {
             prefill: 2_000,
             ..Default::default()
         };
-        let strict = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, 0));
+        let strict = stack(Algorithm::TwoD, BuildSpec::with_k(1, 0));
         let strict_stats = run_quality(&strict, &cfg);
         assert_eq!(strict_stats.max(), 0, "k=0 must measure perfectly strict");
 
-        let narrow = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, 3));
+        let narrow = stack(Algorithm::TwoD, BuildSpec::with_k(1, 3));
         let narrow_stats = run_quality(&narrow, &cfg);
         assert!(narrow_stats.max() <= 3, "k=3 configuration measured {} > 3", narrow_stats.max());
 
-        let wide = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, 3_000));
+        let wide = stack(Algorithm::TwoD, BuildSpec::with_k(1, 3_000));
         let bound = wide.relaxation_bound().unwrap();
         let wide_stats = run_quality(&wide, &cfg);
         assert!(
@@ -222,7 +226,7 @@ mod tests {
     #[test]
     fn concurrent_quality_run_completes_for_all_algorithms() {
         for algo in Algorithm::ALL {
-            let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
+            let stack = stack(algo, BuildSpec::high_throughput(2));
             let stats = run_quality(
                 &stack,
                 &QualityConfig {

@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use crate::oracle::Label;
-use stack2d::StackHandle;
+use stack2d::OpsHandle;
 
 /// One completed operation with its observation interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +170,7 @@ impl History {
 /// # Examples
 ///
 /// ```
-/// use stack2d::{ConcurrentStack, Params, Stack2D};
+/// use stack2d::{Params, Stack2D};
 /// use stack2d_quality::linearize::{HistoryRecorder, SharedClock};
 ///
 /// let stack = Stack2D::new(Params::new(2, 1, 1).unwrap());
@@ -205,7 +205,7 @@ pub struct HistoryRecorder<'c, H> {
     ops: Vec<Recorded>,
 }
 
-impl<'c, H: StackHandle<Label>> HistoryRecorder<'c, H> {
+impl<'c, H: OpsHandle<Label>> HistoryRecorder<'c, H> {
     /// Wraps `handle`, timestamping against `clock`.
     pub fn new(handle: H, clock: &'c SharedClock) -> Self {
         HistoryRecorder { handle, clock, ops: Vec::new() }
@@ -214,7 +214,7 @@ impl<'c, H: StackHandle<Label>> HistoryRecorder<'c, H> {
     /// Pushes `label`, recording the interval.
     pub fn push(&mut self, label: Label) {
         let start = self.clock.tick();
-        self.handle.push(label);
+        self.handle.produce(label);
         let end = self.clock.tick();
         self.ops.push(Recorded { start, end, op: HistOp::Push(label) });
     }
@@ -222,7 +222,7 @@ impl<'c, H: StackHandle<Label>> HistoryRecorder<'c, H> {
     /// Pops, recording the interval and outcome.
     pub fn pop(&mut self) -> Option<Label> {
         let start = self.clock.tick();
-        let got = self.handle.pop();
+        let got = self.handle.consume();
         let end = self.clock.tick();
         let op = match got {
             Some(l) => HistOp::PopSome(l),

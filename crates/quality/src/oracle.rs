@@ -14,7 +14,7 @@
 //! scan of a literal list. [`NaiveOracle`] is the literal list, kept as the
 //! cross-check implementation for property tests.
 //!
-//! [`MeasuredStack`] couples any [`ConcurrentStack`] with an oracle under a
+//! [`MeasuredStack`] couples any [`RelaxedOps`] stack with an oracle under a
 //! single mutex, exactly reproducing the paper's "simultaneous" update
 //! semantics. Quality runs are therefore partially serialized — as they are
 //! in the paper's methodology (quality and throughput are separate
@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 
 use crate::fenwick::Fenwick;
 use crate::stats::ErrorStats;
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 /// Unique item label used by the measurement runs.
 pub type Label = u64;
@@ -135,7 +135,7 @@ impl NaiveOracle {
     }
 }
 
-/// A [`ConcurrentStack`] of labels coupled with an [`Oracle`] under one
+/// A [`RelaxedOps`] stack of labels coupled with an [`Oracle`] under one
 /// mutex — the paper's instrumented quality-measurement configuration.
 ///
 /// `push()` pushes a fresh unique label and inserts it into the oracle;
@@ -168,7 +168,7 @@ struct MeasuredInner {
     next_label: Label,
 }
 
-impl<'s, S: ConcurrentStack<Label>> MeasuredStack<'s, S> {
+impl<'s, S: RelaxedOps<Label>> MeasuredStack<'s, S> {
     /// Wraps `stack` for measured runs.
     pub fn new(stack: &'s S) -> Self {
         MeasuredStack {
@@ -188,14 +188,14 @@ impl<'s, S: ConcurrentStack<Label>> MeasuredStack<'s, S> {
 
     /// Registers a measuring handle for the calling thread.
     pub fn handle(&self) -> MeasuredHandle<'_, 's, S> {
-        MeasuredHandle { measured: self, inner: self.stack.handle() }
+        MeasuredHandle { measured: self, inner: self.stack.ops_handle() }
     }
 
     /// Registers a measuring handle with a deterministic RNG seed —
-    /// the trait-level [`ConcurrentStack::handle_seeded`] makes this work
+    /// the trait-level [`RelaxedOps::ops_handle_seeded`] makes this work
     /// for every algorithm without special-casing concrete types.
     pub fn handle_seeded(&self, seed: u64) -> MeasuredHandle<'_, 's, S> {
-        MeasuredHandle { measured: self, inner: self.stack.handle_seeded(seed) }
+        MeasuredHandle { measured: self, inner: self.stack.ops_handle_seeded(seed) }
     }
 
     /// Pre-fills the stack with `n` labelled items (the paper initializes
@@ -225,19 +225,19 @@ impl<S: core::fmt::Debug> core::fmt::Debug for MeasuredStack<'_, S> {
 }
 
 /// Per-thread handle performing simultaneous stack + oracle operations.
-pub struct MeasuredHandle<'m, 's, S: ConcurrentStack<Label>> {
+pub struct MeasuredHandle<'m, 's, S: RelaxedOps<Label>> {
     measured: &'m MeasuredStack<'s, S>,
     inner: S::Handle<'s>,
 }
 
-impl<S: ConcurrentStack<Label>> MeasuredHandle<'_, '_, S> {
+impl<S: RelaxedOps<Label>> MeasuredHandle<'_, '_, S> {
     /// Pushes a fresh unique label (stack and oracle updated atomically
     /// with respect to other measured operations).
     pub fn push(&mut self) {
         let mut g = self.measured.inner.lock();
         let label = g.next_label;
         g.next_label += 1;
-        self.inner.push(label);
+        self.inner.produce(label);
         g.oracle.insert(label);
     }
 
@@ -245,7 +245,7 @@ impl<S: ConcurrentStack<Label>> MeasuredHandle<'_, '_, S> {
     /// was obtained.
     pub fn pop(&mut self) -> bool {
         let mut g = self.measured.inner.lock();
-        match self.inner.pop() {
+        match self.inner.consume() {
             Some(label) => {
                 let dist = g.oracle.delete(label).expect("popped label must be live in the oracle");
                 g.stats.record(dist);

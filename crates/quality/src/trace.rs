@@ -1,24 +1,22 @@
 //! Trace recording and replay.
 //!
 //! The offline checker ([`crate::checker`]) consumes operation traces; this
-//! module produces them. [`TraceRecorder`] wraps any stack handle and logs
-//! every operation with fresh unique labels; traces serialize (serde) so a
-//! failing run can be stored and replayed as a regression test, and
-//! [`replay`] re-executes a trace against any other stack to compare
-//! behaviours.
-
-use serde::{Deserialize, Serialize};
+//! module produces them. [`TraceRecorder`] wraps any stack's
+//! [`OpsHandle`] and logs every operation with fresh unique labels, and
+//! [`replay`] re-executes a trace's schedule against any other stack to
+//! compare behaviours. Traces live in memory only: no serializer exists
+//! for them.
 
 use crate::checker::{check_k_out_of_order, TraceOp, TraceReport, Violation};
 use crate::oracle::Label;
-use stack2d::StackHandle;
+use stack2d::OpsHandle;
 
 /// A recorded single-threaded operation trace.
 ///
 /// # Examples
 ///
 /// ```
-/// use stack2d::{Params, Stack2D, ConcurrentStack};
+/// use stack2d::{Params, Stack2D};
 /// use stack2d_quality::trace::TraceRecorder;
 ///
 /// let stack = Stack2D::new(Params::new(2, 1, 1).unwrap());
@@ -30,20 +28,9 @@ use stack2d::StackHandle;
 /// assert_eq!(trace.len(), 3);
 /// assert!(trace.verify_k(stack.k_bound()).is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    ops: Vec<SerOp>,
-}
-
-/// Serializable mirror of [`TraceOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum SerOp {
-    /// A push of the given label.
-    Push(Label),
-    /// A pop that returned the given label.
-    Pop(Label),
-    /// A pop that observed the stack empty.
-    PopEmpty,
+    ops: Vec<TraceOp>,
 }
 
 impl Trace {
@@ -59,14 +46,7 @@ impl Trace {
 
     /// The trace as checker input.
     pub fn to_ops(&self) -> Vec<TraceOp> {
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                SerOp::Push(l) => TraceOp::Push(l),
-                SerOp::Pop(l) => TraceOp::Pop(l),
-                SerOp::PopEmpty => TraceOp::PopEmpty,
-            })
-            .collect()
+        self.ops.clone()
     }
 
     /// Verifies the trace against a k-out-of-order bound.
@@ -75,25 +55,25 @@ impl Trace {
     ///
     /// The first [`Violation`] found.
     pub fn verify_k(&self, k: usize) -> Result<TraceReport, Violation> {
-        check_k_out_of_order(&self.to_ops(), k)
+        check_k_out_of_order(&self.ops, k)
     }
 
     /// The tightest bound this trace satisfies (binary search over the
     /// checker); `None` if the trace violates stack semantics at every k
     /// (e.g. pops an unknown label).
     pub fn tightest_k(&self) -> Option<usize> {
-        let ops = self.to_ops();
+        let ops = &self.ops;
         // The error distance is bounded by trace length.
         let mut hi = self.ops.len();
-        check_k_out_of_order(&ops, hi).ok()?;
+        check_k_out_of_order(ops, hi).ok()?;
         let mut lo = 0usize;
-        if check_k_out_of_order(&ops, 0).is_ok() {
+        if check_k_out_of_order(ops, 0).is_ok() {
             return Some(0);
         }
         // Invariant: lo fails, hi passes.
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if check_k_out_of_order(&ops, mid).is_ok() {
+            if check_k_out_of_order(ops, mid).is_ok() {
                 hi = mid;
             } else {
                 lo = mid;
@@ -111,7 +91,7 @@ pub struct TraceRecorder<H> {
     next_label: Label,
 }
 
-impl<H: StackHandle<Label>> TraceRecorder<H> {
+impl<H: OpsHandle<Label>> TraceRecorder<H> {
     /// Wraps `handle` with an empty trace.
     pub fn new(handle: H) -> Self {
         TraceRecorder { handle, trace: Trace::default(), next_label: 0 }
@@ -121,19 +101,19 @@ impl<H: StackHandle<Label>> TraceRecorder<H> {
     pub fn push(&mut self) {
         let label = self.next_label;
         self.next_label += 1;
-        self.handle.push(label);
-        self.trace.ops.push(SerOp::Push(label));
+        self.handle.produce(label);
+        self.trace.ops.push(TraceOp::Push(label));
     }
 
     /// Pops and records the outcome; returns the label if one was popped.
     pub fn pop(&mut self) -> Option<Label> {
-        match self.handle.pop() {
+        match self.handle.consume() {
             Some(l) => {
-                self.trace.ops.push(SerOp::Pop(l));
+                self.trace.ops.push(TraceOp::Pop(l));
                 Some(l)
             }
             None => {
-                self.trace.ops.push(SerOp::PopEmpty);
+                self.trace.ops.push(TraceOp::PopEmpty);
                 None
             }
         }
@@ -160,19 +140,19 @@ pub struct ReplayOutcome {
 /// Replays the push/pop *schedule* of `trace` against `handle`, comparing
 /// outcomes op by op. Relaxed stacks legitimately diverge in labels; strict
 /// stacks replaying a strict trace must not.
-pub fn replay<H: StackHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOutcome {
+pub fn replay<H: OpsHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOutcome {
     let mut out = ReplayOutcome::default();
     for op in &trace.ops {
         out.ops += 1;
         match *op {
-            SerOp::Push(label) => handle.push(label),
-            SerOp::Pop(expected) => match handle.pop() {
+            TraceOp::Push(label) => handle.produce(label),
+            TraceOp::Pop(expected) => match handle.consume() {
                 Some(got) if got == expected => {}
                 Some(_) => out.divergences += 1,
                 None => out.empty_mismatches += 1,
             },
-            SerOp::PopEmpty => {
-                if handle.pop().is_some() {
+            TraceOp::PopEmpty => {
+                if handle.consume().is_some() {
                     out.empty_mismatches += 1;
                 }
             }
@@ -184,12 +164,12 @@ pub fn replay<H: StackHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stack2d::{ConcurrentStack, Params, Stack2D};
+    use stack2d::{Params, RelaxedOps, Stack2D};
     use stack2d_baselines::TreiberStack;
 
     fn record_on_treiber(plan: &[bool]) -> Trace {
         let stack: TreiberStack<Label> = TreiberStack::new();
-        let mut rec = TraceRecorder::new(stack.handle());
+        let mut rec = TraceRecorder::new(stack.ops_handle());
         for &p in plan {
             if p {
                 rec.push();
@@ -231,7 +211,7 @@ mod tests {
         let plan: Vec<bool> = (0..200).map(|i| i % 3 != 2).collect();
         let trace = record_on_treiber(&plan);
         let stack: TreiberStack<Label> = TreiberStack::new();
-        let mut h = stack.handle();
+        let mut h = stack.ops_handle();
         let out = replay(&trace, &mut h);
         assert_eq!(out.ops, trace.len());
         assert_eq!(out.divergences, 0);

@@ -11,7 +11,7 @@
 //! cargo run --release --example producer_consumer
 //! ```
 
-use stack2d::{ConcurrentStack, Stack2D};
+use stack2d::{RelaxedOps, Stack2D};
 use stack2d_baselines::{EliminationStack, TreiberStack};
 use stack2d_workload::{prefill, run_roles, OpMix, RunResult};
 
@@ -39,7 +39,7 @@ fn main() {
         Stack2D::builder().for_threads(roles.len()).build().expect("preset is valid");
     prefill(&two_d, fill);
     let r = run_roles(&two_d, &roles, ops, 1);
-    report(ConcurrentStack::<u64>::name(&two_d), &r);
+    report(RelaxedOps::<u64>::name(&two_d), &r);
     let m = two_d.metrics();
     println!(
         "{:>12}  window: {} raises, {} lowers, {:.2} probes/op\n",
@@ -52,12 +52,12 @@ fn main() {
     let treiber: TreiberStack<u64> = TreiberStack::new();
     prefill(&treiber, fill);
     let r = run_roles(&treiber, &roles, ops, 1);
-    report(ConcurrentStack::<u64>::name(&treiber), &r);
+    report(RelaxedOps::<u64>::name(&treiber), &r);
 
     let elim: EliminationStack<u64> = EliminationStack::with_capacity(16);
     prefill(&elim, fill);
     let r = run_roles(&elim, &roles, ops, 1);
-    report(ConcurrentStack::<u64>::name(&elim), &r);
+    report(RelaxedOps::<u64>::name(&elim), &r);
     let stats = elim.stats();
     println!(
         "{:>12}  eliminated pairs: {} (pushes) / {} (pops), central ops: {}",

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use stack2d::{ConcurrentStack, Stack2D};
+use stack2d::{RelaxedOps, Stack2D};
 
 fn main() {
     // --- 1. Choose parameters -------------------------------------------
@@ -53,7 +53,7 @@ fn main() {
     println!("after the storm: {} items resident", stack.len());
     println!("per-sub-stack load profile: {:?}", stack.load_profile());
     println!("window Global counter: {}", stack.global());
-    println!("algorithm name (paper legend): {}", ConcurrentStack::<u64>::name(&stack));
+    println!("algorithm name (paper legend): {}", RelaxedOps::<u64>::name(&stack));
 
     // Drain and verify nothing is lost.
     let mut drained = 0u64;

@@ -10,14 +10,14 @@
 
 use std::sync::Barrier;
 
-use stack2d::{ConcurrentStack, Params, Stack2D};
-use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
+use stack2d::{Params, RelaxedOps, Stack2D};
+use stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use stack2d_quality::linearize::{merge_histories, SharedClock};
 use stack2d_quality::HistoryRecorder;
 
 /// Runs `threads` workers, each performing the given op plan (true = push)
 /// with distinct labels, and returns the merged history.
-fn record_concurrent<S: ConcurrentStack<u64>>(
+fn record_concurrent<S: RelaxedOps<u64>>(
     stack: &S,
     threads: usize,
     plan: &[bool],
@@ -31,7 +31,7 @@ fn record_concurrent<S: ConcurrentStack<u64>>(
             let clock = &clock;
             let barrier = &barrier;
             joins.push(scope.spawn(move || {
-                let mut rec = HistoryRecorder::new(stack.handle(), clock);
+                let mut rec = HistoryRecorder::new(stack.ops_handle(), clock);
                 barrier.wait();
                 let mut next = (round << 32) | ((t as u64) << 16);
                 for &is_push in plan {
@@ -56,7 +56,10 @@ fn treiber_is_strictly_linearizable_under_concurrency() {
         [&[true, false, true, false], &[true, true, false, false, false], &[false, true, false]];
     for round in 0..30u64 {
         let plan = plans[(round % 3) as usize];
-        let stack = AnyStack::build(Algorithm::Treiber, BuildSpec::high_throughput(3));
+        let stack = AnyRelaxed::build(
+            StructureKind::Stack(Algorithm::Treiber),
+            BuildSpec::high_throughput(3),
+        );
         let h = record_concurrent(&stack, 3, plan, round);
         assert!(
             h.is_k_linearizable(0),
@@ -68,7 +71,10 @@ fn treiber_is_strictly_linearizable_under_concurrency() {
 #[test]
 fn elimination_is_strictly_linearizable_under_concurrency() {
     for round in 0..30u64 {
-        let stack = AnyStack::build(Algorithm::Elimination, BuildSpec::high_throughput(3));
+        let stack = AnyRelaxed::build(
+            StructureKind::Stack(Algorithm::Elimination),
+            BuildSpec::high_throughput(3),
+        );
         let h = record_concurrent(&stack, 3, &[true, false, true, false], round);
         assert!(
             h.is_k_linearizable(0),
@@ -127,7 +133,8 @@ fn k_segment_is_k_linearizable_under_concurrency() {
 
 #[test]
 fn recorded_histories_have_sane_shape() {
-    let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::high_throughput(2));
+    let stack =
+        AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::high_throughput(2));
     let h = record_concurrent(&stack, 2, &[true, false], 0);
     assert_eq!(h.len(), 4);
     assert!(!h.is_empty());

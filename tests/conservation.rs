@@ -7,31 +7,31 @@
 //! safety property all seven stacks share regardless of how relaxed their
 //! ordering is.
 
-use stack2d::{ConcurrentStack, StackHandle};
-use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
+use stack2d::{OpsHandle, RelaxedOps};
+use stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use stack2d_quality::Conservation;
 
 const THREADS: usize = 4;
 const PER_THREAD: usize = 3_000;
 
 fn storm(algo: Algorithm) {
-    let stack = AnyStack::build(algo, BuildSpec::high_throughput(THREADS));
+    let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(THREADS));
     let results: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
         let mut joins = Vec::new();
         for t in 0..THREADS {
             let stack = &stack;
             joins.push(s.spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 let mut pushed = Vec::new();
                 let mut popped = Vec::new();
                 for i in 0..PER_THREAD {
                     let label = (t * PER_THREAD + i) as u64;
-                    h.push(label);
+                    h.produce(label);
                     pushed.push(label);
                     // Pop two thirds of the time so the stack both grows and
                     // hits near-empty phases.
                     if i % 3 != 0 {
-                        if let Some(v) = h.pop() {
+                        if let Some(v) = h.consume() {
                             popped.push(v);
                         }
                     }
@@ -52,8 +52,8 @@ fn storm(algo: Algorithm) {
         }
     }
     let mut remaining = Vec::new();
-    let mut h = stack.handle();
-    while let Some(v) = h.pop() {
+    let mut h = stack.ops_handle();
+    while let Some(v) = h.consume() {
         remaining.push(v);
     }
     if let Err(errors) = accounting.verify(&remaining) {
@@ -99,21 +99,22 @@ fn treiber_conserves_items() {
 #[test]
 fn two_d_conserves_under_tiny_windows() {
     // depth = shift = 1 with few sub-stacks maximizes window churn.
-    let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(THREADS, 3));
+    let stack =
+        AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::with_k(THREADS, 3));
     let mut accounting = Conservation::new();
     let all: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
         let mut joins = Vec::new();
         for t in 0..THREADS {
             let stack = &stack;
             joins.push(s.spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 let mut pushed = Vec::new();
                 let mut popped = Vec::new();
                 for i in 0..PER_THREAD {
                     let label = (t * PER_THREAD + i) as u64;
-                    h.push(label);
+                    h.produce(label);
                     pushed.push(label);
-                    if let Some(v) = h.pop() {
+                    if let Some(v) = h.consume() {
                         popped.push(v);
                     }
                 }
@@ -131,8 +132,8 @@ fn two_d_conserves_under_tiny_windows() {
         }
     }
     let mut remaining = Vec::new();
-    let mut h = stack.handle();
-    while let Some(v) = h.pop() {
+    let mut h = stack.ops_handle();
+    while let Some(v) = h.consume() {
         remaining.push(v);
     }
     accounting.verify(&remaining).expect("tiny-window 2D-stack lost items");

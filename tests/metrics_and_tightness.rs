@@ -2,7 +2,7 @@
 //! empirical *tightness* study of Theorem 1 — how close observed
 //! out-of-order distances come to the analytical bound.
 
-use stack2d::{ConcurrentStack, Params, Stack2D, StackHandle};
+use stack2d::{OpsHandle, Params, RelaxedOps, Stack2D};
 use stack2d_quality::TraceRecorder;
 use stack2d_workload::{prefill, run_fixed_ops, OpMix};
 
@@ -96,12 +96,12 @@ fn strict_configuration_reports_zero_observed_relaxation() {
 
 #[test]
 fn metrics_survive_trait_generic_use() {
-    fn run<S: ConcurrentStack<u64>>(s: &S) {
-        let mut h = s.handle();
+    fn run<S: RelaxedOps<u64>>(s: &S) {
+        let mut h = s.ops_handle();
         for i in 0..100 {
-            h.push(i);
+            h.produce(i);
         }
-        while h.pop().is_some() {}
+        while h.consume().is_some() {}
     }
     let stack = Stack2D::new(Params::new(2, 1, 1).unwrap());
     run(&stack);

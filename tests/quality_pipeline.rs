@@ -5,8 +5,10 @@
 
 use proptest::prelude::*;
 
-use stack2d::ConcurrentStack as _;
-use stack2d_harness::{run_quality, Algorithm, AnyStack, BuildSpec, QualityConfig};
+use stack2d::{OpsHandle, RelaxedOps};
+use stack2d_harness::{
+    run_quality, Algorithm, AnyRelaxed, BuildSpec, QualityConfig, StructureKind,
+};
 use stack2d_quality::{MeasuredStack, NaiveOracle, Oracle};
 use stack2d_workload::OpMix;
 
@@ -40,7 +42,7 @@ proptest! {
 #[test]
 fn strict_algorithms_measure_zero_error_single_thread() {
     for algo in [Algorithm::Treiber, Algorithm::Elimination] {
-        let stack = AnyStack::build(algo, BuildSpec::high_throughput(1));
+        let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(1));
         let stats = run_quality(
             &stack,
             &QualityConfig {
@@ -59,7 +61,8 @@ fn strict_algorithms_measure_zero_error_single_thread() {
 #[test]
 fn two_d_error_stays_under_bound_single_thread() {
     for k in [3usize, 30, 300] {
-        let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, k));
+        let stack =
+            AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::with_k(1, k));
         let bound = stack.relaxation_bound().unwrap();
         let stats = run_quality(
             &stack,
@@ -83,7 +86,7 @@ fn relaxation_quality_ordering_across_algorithms() {
     // calibration, not a guarantee (random mixes can bury items), so it
     // only gets a sanity ceiling of the resident count.
     for algo in Algorithm::K_BOUNDED {
-        let stack = AnyStack::build(algo, BuildSpec::with_k(1, 50));
+        let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::with_k(1, 50));
         let bound = stack.relaxation_bound();
         let prefill = 1_024usize;
         let stats = run_quality(
@@ -120,7 +123,8 @@ fn relaxation_quality_ordering_across_algorithms() {
 
 #[test]
 fn measured_stack_oracle_and_stack_stay_in_sync_concurrently() {
-    let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::high_throughput(4));
+    let stack =
+        AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::high_throughput(4));
     let measured = MeasuredStack::new(&stack);
     measured.prefill(256);
     std::thread::scope(|s| {
@@ -139,11 +143,9 @@ fn measured_stack_oracle_and_stack_stay_in_sync_concurrently() {
         }
     });
     // Whatever remains in the stack must exactly match the oracle's view.
-    use stack2d::ConcurrentStack;
-    use stack2d::StackHandle;
-    let mut h = stack.handle();
+    let mut h = stack.ops_handle();
     let mut resident = 0usize;
-    while h.pop().is_some() {
+    while h.consume().is_some() {
         resident += 1;
     }
     assert_eq!(resident, measured.oracle_len(), "oracle diverged from stack");
@@ -152,7 +154,7 @@ fn measured_stack_oracle_and_stack_stay_in_sync_concurrently() {
 #[test]
 fn quality_runs_complete_for_every_algorithm_concurrently() {
     for algo in Algorithm::ALL {
-        let stack = AnyStack::build(algo, BuildSpec::high_throughput(3));
+        let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(3));
         let stats = run_quality(
             &stack,
             &QualityConfig {

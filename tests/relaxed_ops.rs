@@ -6,11 +6,11 @@
 use std::time::Duration;
 
 use stack2d_repro::stack2d::{
-    ConcurrentStack, Counter2D, ElasticTarget, OpsHandle, Params, Queue2D, RelaxedOps, Stack2D,
+    Counter2D, ElasticTarget, OpsHandle, Params, Queue2D, RelaxedOps, Stack2D,
 };
 use stack2d_repro::stack2d_adaptive::{AdaptiveBuilder, AimdController, ScriptedController};
 use stack2d_repro::stack2d_baselines::{LockedQueue, TreiberStack};
-use stack2d_repro::stack2d_harness::{AnyRelaxed, BuildSpec, StructureKind};
+use stack2d_repro::stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use stack2d_repro::stack2d_workload::{run_fixed_ops, OpMix};
 
 /// The acceptance shape: the *unchanged* generic runner drives all three
@@ -39,17 +39,36 @@ fn generic_runner_drives_every_structure() {
     drive(&locked_queue);
 }
 
+/// The registry's legend names and reported bounds for every structure at
+/// the Figure 2 preset (`high_throughput(2)`) and a Figure 1 budget
+/// (`with_k(4, 30)`), in [`StructureKind::ALL`] order. A change to the
+/// build mapping or to a structure's bound shows up here.
+const REGISTRY_TABLE: [(&str, Option<usize>, Option<usize>); 10] = [
+    ("2D-stack", Some(21), Some(30)),
+    ("k-robin", Some(512), Some(24)),
+    ("k-segment", Some(255), Some(30)),
+    ("random", None, None),
+    ("random-c2", None, None),
+    ("elimination", Some(0), Some(0)),
+    ("treiber", Some(0), Some(0)),
+    ("2d-queue", Some(21), Some(30)),
+    ("locked-queue", Some(0), Some(0)),
+    ("2d-counter", Some(14), Some(20)),
+];
+
 #[test]
 fn registry_covers_stacks_queues_and_counter() {
-    for kind in StructureKind::ALL {
-        let s = AnyRelaxed::build(kind, BuildSpec::high_throughput(2));
-        assert_eq!(s.kind(), kind);
-        let r = run_fixed_ops(&s, 2, 500, OpMix::symmetric(), 3);
-        assert_eq!(r.total_ops(), 1_000, "{kind}: ops lost");
-        // Only the unbounded baselines may report None.
-        match kind {
-            StructureKind::Stack(_) => {}
-            _ => assert!(s.relaxation_bound().is_some(), "{kind} must report a bound"),
+    for (kind, &(name, fig2_bound, fig1_bound)) in StructureKind::ALL.iter().zip(&REGISTRY_TABLE) {
+        let kind = *kind;
+        for (spec, bound) in
+            [(BuildSpec::high_throughput(2), fig2_bound), (BuildSpec::with_k(4, 30), fig1_bound)]
+        {
+            let s = AnyRelaxed::build(kind, spec);
+            assert_eq!(s.kind(), kind);
+            assert_eq!(s.name(), name, "{kind} at {spec:?}");
+            assert_eq!(s.relaxation_bound(), bound, "{kind} at {spec:?}");
+            let r = run_fixed_ops(&s, 2, 500, OpMix::symmetric(), 3);
+            assert_eq!(r.total_ops(), 1_000, "{kind}: ops lost");
         }
     }
 }
@@ -71,7 +90,6 @@ fn trait_bounds_match_inherent_methods() {
     // Fixed-width: the configured bound, exactly.
     let p = Params::new(6, 3, 2).unwrap();
     let stack = Stack2D::<u64>::builder().params(p).build().unwrap();
-    assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(stack.k_bound()));
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
     let queue = Queue2D::<u64>::builder().params(p).build().unwrap();
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&queue), Some(queue.k_bound()));
@@ -89,7 +107,6 @@ fn trait_bounds_match_inherent_methods() {
     stack.retune(Params::new(8, 1, 1).unwrap()).unwrap();
     let expect = stack.k_bound().max(stack.k_bound_instantaneous());
     assert!(stack.k_bound_instantaneous() > stack.k_bound(), "transient must dominate");
-    assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(expect));
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(expect));
 
     let queue = Queue2D::<u64>::builder().width(1).elastic_capacity(8).build().unwrap();
@@ -126,16 +143,17 @@ fn elastic_target_exposes_the_live_bound() {
     assert_eq!(live(&counter), counter.k_bound_instantaneous());
 }
 
-/// Seeded handles through the trait: identical seeds, identical behaviour.
+/// Seeded handles through the trait: identical seeds, identical behaviour,
+/// whether the 2D-Stack is reached directly or through the registry.
 #[test]
 fn trait_seeded_handles_are_deterministic() {
-    fn drain_order<S: ConcurrentStack<u64>>(s: &S) -> Vec<u64> {
-        let mut h = s.handle_seeded(77);
+    fn drain_order<S: RelaxedOps<u64>>(s: &S) -> Vec<u64> {
+        let mut h = s.ops_handle_seeded(77);
         for i in 0..500 {
-            stack2d_repro::stack2d::StackHandle::push(&mut h, i);
+            h.produce(i);
         }
         let mut out = Vec::new();
-        while let Some(v) = stack2d_repro::stack2d::StackHandle::pop(&mut h) {
+        while let Some(v) = h.consume() {
             out.push(v);
         }
         out
@@ -144,6 +162,13 @@ fn trait_seeded_handles_are_deterministic() {
     let a = Stack2D::new(p);
     let b = Stack2D::new(p);
     assert_eq!(drain_order(&a), drain_order(&b));
+
+    let spec = BuildSpec::high_throughput(2);
+    let registry = AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), spec);
+    let concrete = Stack2D::new(Params::for_threads(2));
+    let order = drain_order(&concrete);
+    assert_eq!(drain_order(&registry), order, "registry 2D-stack diverged from Stack2D");
+    assert_ne!(order, (0..500).rev().collect::<Vec<u64>>(), "width 8 must relax the order");
 }
 
 /// The managed guard under real concurrency: workers hammer the shared

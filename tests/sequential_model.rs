@@ -7,23 +7,23 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use stack2d::{ConcurrentStack, StackHandle};
-use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
+use stack2d::{OpsHandle, RelaxedOps};
+use stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 
 /// Replays `plan` (true = push) against both the algorithm and a multiset
 /// model.
 fn check_multiset(algo: Algorithm, plan: &[bool]) -> Result<(), TestCaseError> {
-    let stack = AnyStack::build(algo, BuildSpec::high_throughput(1));
-    let mut h = stack.handle();
+    let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(1));
+    let mut h = stack.ops_handle();
     let mut resident: HashSet<u64> = HashSet::new();
     let mut next = 0u64;
     for &is_push in plan {
         if is_push {
-            h.push(next);
+            h.produce(next);
             resident.insert(next);
             next += 1;
         } else {
-            match h.pop() {
+            match h.consume() {
                 Some(v) => {
                     prop_assert!(resident.remove(&v), "{algo}: popped {v} which is not resident");
                 }
@@ -38,7 +38,7 @@ fn check_multiset(algo: Algorithm, plan: &[bool]) -> Result<(), TestCaseError> {
         }
     }
     // Drain: everything resident must come back exactly once.
-    while let Some(v) = h.pop() {
+    while let Some(v) = h.consume() {
         prop_assert!(resident.remove(&v), "{algo}: drained unknown {v}");
     }
     prop_assert!(resident.is_empty(), "{algo}: lost {} items", resident.len());
@@ -47,17 +47,17 @@ fn check_multiset(algo: Algorithm, plan: &[bool]) -> Result<(), TestCaseError> {
 
 /// Strict algorithms must match a Vec model exactly.
 fn check_strict(algo: Algorithm, plan: &[bool]) -> Result<(), TestCaseError> {
-    let stack = AnyStack::build(algo, BuildSpec::high_throughput(1));
-    let mut h = stack.handle();
+    let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(1));
+    let mut h = stack.ops_handle();
     let mut model: Vec<u64> = Vec::new();
     let mut next = 0u64;
     for &is_push in plan {
         if is_push {
-            h.push(next);
+            h.produce(next);
             model.push(next);
             next += 1;
         } else {
-            prop_assert_eq!(h.pop(), model.pop(), "{} diverged from the Vec model", algo);
+            prop_assert_eq!(h.consume(), model.pop(), "{} diverged from the Vec model", algo);
         }
     }
     Ok(())
@@ -104,17 +104,17 @@ proptest! {
     #[test]
     fn strict_two_d_matches_vec_model(plan in proptest::collection::vec(any::<bool>(), 1..500)) {
         // k = 0 forces width 1: the 2D-stack degenerates to a strict stack.
-        let stack = AnyStack::build(Algorithm::TwoD, BuildSpec::with_k(1, 0));
-        let mut h = stack.handle();
+        let stack = AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::with_k(1, 0));
+        let mut h = stack.ops_handle();
         let mut model: Vec<u64> = Vec::new();
         let mut next = 0u64;
         for &is_push in &plan {
             if is_push {
-                h.push(next);
+                h.produce(next);
                 model.push(next);
                 next += 1;
             } else {
-                prop_assert_eq!(h.pop(), model.pop());
+                prop_assert_eq!(h.consume(), model.pop());
             }
         }
     }

@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stack2d::{ConcurrentStack, Params, SearchConfig, SearchPolicy, Stack2D, StackHandle};
-use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
+use stack2d::{OpsHandle, Params, RelaxedOps, SearchConfig, SearchPolicy, Stack2D};
+use stack2d_harness::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 
 /// Heap-allocating payload whose drops are counted — a double free or leak
 /// shows up as a count mismatch (or a crash under the allocator).
@@ -106,19 +106,20 @@ fn oversubscribed_mixed_algorithms_conserve() {
     // 3x more threads than the runner usually uses; forced preemption
     // inside critical windows is exactly what this exercises.
     for algo in Algorithm::ALL {
-        let stack = Arc::new(AnyStack::build(algo, BuildSpec::high_throughput(4)));
+        let stack =
+            Arc::new(AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(4)));
         let total = Arc::new(AtomicUsize::new(0));
         let mut joins = Vec::new();
         for t in 0..12usize {
             let stack = Arc::clone(&stack);
             let total = Arc::clone(&total);
             joins.push(std::thread::spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 let mut net = 0isize;
                 for i in 0..2_000 {
-                    h.push((t * 10_000 + i) as u64);
+                    h.produce((t * 10_000 + i) as u64);
                     net += 1;
-                    if i % 2 == 0 && h.pop().is_some() {
+                    if i % 2 == 0 && h.consume().is_some() {
                         net -= 1;
                     }
                 }
@@ -129,8 +130,8 @@ fn oversubscribed_mixed_algorithms_conserve() {
             j.join().unwrap();
         }
         let mut rest = 0usize;
-        let mut h = stack.handle();
-        while h.pop().is_some() {
+        let mut h = stack.ops_handle();
+        while h.consume().is_some() {
             rest += 1;
         }
         assert_eq!(rest, total.load(Ordering::SeqCst), "{algo}: residency mismatch");
@@ -182,11 +183,11 @@ fn elimination_storm_with_tiny_collision_array() {
             let stack = Arc::clone(&stack);
             let drops = Arc::clone(&drops);
             joins.push(std::thread::spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 for i in 0..15_000usize {
-                    h.push(Payload::new(&drops));
+                    h.produce(Payload::new(&drops));
                     if i % 2 == 0 {
-                        drop(h.pop());
+                        drop(h.consume());
                     }
                 }
             }));
@@ -209,11 +210,11 @@ fn ksegment_boundary_storm_with_payloads() {
             let stack = Arc::clone(&stack);
             let drops = Arc::clone(&drops);
             joins.push(std::thread::spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 for i in 0..15_000usize {
-                    h.push(Payload::new(&drops));
+                    h.produce(Payload::new(&drops));
                     if i % 3 != 0 {
-                        drop(h.pop());
+                        drop(h.consume());
                     }
                 }
             }));

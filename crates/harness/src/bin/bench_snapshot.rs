@@ -35,7 +35,7 @@ use stack2d_harness::experiment::Settings;
 use stack2d_harness::fig3::{self, Fig3Spec};
 
 /// The bench targets of `crates/bench`, in manifest order.
-const BENCH_TARGETS: [&str; 7] = [
+const BENCH_TARGETS: [&str; 8] = [
     "fig1_relaxation",
     "fig2_scalability",
     "ablation_search",
@@ -43,6 +43,7 @@ const BENCH_TARGETS: [&str; 7] = [
     "mem_batch",
     "elastic_adapt",
     "telemetry_overhead",
+    "served_round_trip",
 ];
 
 /// One parsed criterion report line.

@@ -1,15 +1,18 @@
 //! Minimal blocking client for the wire protocol.
 //!
 //! One [`Client`] wraps one TCP connection; [`Client::call`] sends a
-//! pipelined request batch as a single frame and blocks for the matching
-//! response frame. The convenience verbs are one-request batches. Used by
-//! the harness load generator, the integration tests, and the example.
+//! pipelined request batch as a single frame and waits for the matching
+//! response frame, spinning briefly before it blocks (see
+//! [`crate::frame`]). Replies are read through a buffer, so one `read`
+//! call usually takes a whole frame. The convenience verbs are
+//! one-request batches. Used by the harness load generator, the
+//! integration tests, and the example.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::frame::{read_frame, write_frame, FrameError, FrameEvent, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{write_frame, FrameError, FrameEvent, FrameWait, DEFAULT_MAX_FRAME_LEN};
 use crate::protocol::{
     decode_response_batch, encode_request_batch, Personality, Request, Response, WireError,
 };
@@ -60,7 +63,8 @@ impl From<io::Error> for ClientError {
 /// A blocking connection to a relaxed2d server.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    wait: FrameWait,
     max_frame_len: u32,
 }
 
@@ -73,7 +77,11 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, max_frame_len: DEFAULT_MAX_FRAME_LEN })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            wait: FrameWait::new(),
+            max_frame_len: DEFAULT_MAX_FRAME_LEN,
+        })
     }
 
     /// Connects, retrying on refusal until `deadline` elapses — for racing
@@ -96,16 +104,16 @@ impl Client {
         }
     }
 
-    /// Sends `batch` as one frame and blocks for the response batch.
+    /// Sends `batch` as one frame and waits for the response batch.
     ///
     /// # Errors
     ///
     /// Any [`ClientError`]; the connection should be considered dead after
     /// an error.
     pub fn call(&mut self, batch: &[Request]) -> Result<Vec<Response>, ClientError> {
-        write_frame(&mut self.stream, &encode_request_batch(batch))?;
+        write_frame(self.reader.get_mut(), &encode_request_batch(batch))?;
         let body = loop {
-            match read_frame(&mut self.stream, self.max_frame_len) {
+            match self.wait.read(&mut self.reader, self.max_frame_len) {
                 Ok(FrameEvent::Frame(body)) => break body,
                 Ok(FrameEvent::Idle) => continue,
                 Ok(FrameEvent::Closed) => return Err(ClientError::ServerClosed),

@@ -9,7 +9,8 @@
 //! most once per frame and seeded with the connection id — so a
 //! connection replays a deterministic locality/hop sequence on every
 //! tenant it touches, batch after batch. The reply goes out as one write
-//! (see [`write_frame`]).
+//! (see [`write_frame`]), and the next request is awaited through a
+//! [`FrameWait`], which spins briefly before it blocks.
 //!
 //! Failure policy (exercised by `tests/protocol_fuzz.rs`): a frame that
 //! does not decode is answered with one typed `Malformed` error and the
@@ -26,7 +27,7 @@ use stack2d::sync::atomic::{AtomicBool, Ordering};
 use stack2d::sync::Arc;
 use stack2d::OpsHandle;
 
-use crate::frame::{read_frame, write_frame, FrameError, FrameEvent};
+use crate::frame::{write_frame, FrameError, FrameEvent, FrameWait};
 use crate::protocol::{
     decode_request_batch, encode_response_batch, ErrorCode, Personality, Request, Response,
 };
@@ -47,11 +48,12 @@ pub(crate) fn serve_connection(stream: TcpStream, ctx: ConnContext) {
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
+    let mut wait = FrameWait::new();
     loop {
         if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        match read_frame(&mut reader, ctx.max_frame_len) {
+        match wait.read(&mut reader, ctx.max_frame_len) {
             Ok(FrameEvent::Idle) => continue,
             Ok(FrameEvent::Closed) => break,
             Ok(FrameEvent::Frame(body)) => match decode_request_batch(&body) {

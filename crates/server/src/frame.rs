@@ -15,8 +15,20 @@
 //!
 //! The reader never allocates more than the declared ceiling, so a hostile
 //! 4 GiB length prefix costs one `u32` comparison, not an allocation.
+//!
+//! The client and the connection loop read sockets through a
+//! spin-then-block wait: it polls the socket without blocking for up to
+//! 50 µs, then falls through to [`read_frame`] in blocking mode,
+//! so a reply already on its way is picked up without putting the reader
+//! to sleep and waking it again.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::num::NonZeroUsize;
+use std::time::{Duration, Instant};
+
+use stack2d::sync::atomic::{AtomicUsize, Ordering};
+use stack2d::sync::thread;
 
 /// Default ceiling on a frame body (1 MiB); servers and clients can pick
 /// their own.
@@ -161,10 +173,141 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// How long a socket reader polls before it blocks. A served frame's
+/// round trip on loopback is a few tens of microseconds; 10 µs gained
+/// nothing, and 50–150 µs gave about the same throughput (DESIGN.md §13).
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Readers polling right now, process-wide, held at the number of CPUs.
+static POLLERS: PollSlots = PollSlots::new(0);
+
+/// A counted set of poll slots. A reader that finds none free blocks
+/// straight away, so pollers never outnumber the CPUs they spin on. The
+/// counts guard no data, only how many threads spin, so `Relaxed` does.
+struct PollSlots {
+    busy: AtomicUsize,
+    /// The slot count; 0 until the first `take` asks the OS.
+    cap: AtomicUsize,
+}
+
+impl PollSlots {
+    const fn new(cap: usize) -> Self {
+        PollSlots { busy: AtomicUsize::new(0), cap: AtomicUsize::new(cap) }
+    }
+
+    fn cap(&self) -> usize {
+        match self.cap.load(Ordering::Relaxed) {
+            0 => {
+                let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+                self.cap.store(cpus, Ordering::Relaxed);
+                cpus
+            }
+            cap => cap,
+        }
+    }
+
+    /// A free slot, held until the returned guard drops.
+    fn take(&self) -> Option<PollSlot<'_>> {
+        let cap = self.cap();
+        self.busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < cap).then_some(n + 1))
+            .ok()
+            .map(|_| PollSlot(self))
+    }
+}
+
+/// One taken poll slot; dropping it gives the slot back.
+struct PollSlot<'a>(&'a PollSlots);
+
+impl Drop for PollSlot<'_> {
+    fn drop(&mut self) {
+        self.0.busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Polls `stream` without blocking until it is readable (bytes, EOF or an
+/// error `read` will report) or `budget` runs out, yielding the CPU
+/// between peeks, then puts it back in blocking mode.
+fn poll(stream: &TcpStream, budget: Duration) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    let start = Instant::now();
+    loop {
+        match stream.peek(&mut [0u8; 1]) {
+            Err(e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) =>
+            {
+                if start.elapsed() >= budget {
+                    break;
+                }
+                thread::yield_now();
+            }
+            _ => break,
+        }
+    }
+    stream.set_nonblocking(false)
+}
+
+/// The spin-then-block frame reader of one socket.
+///
+/// Each read polls the socket for up to [`SPIN_BUDGET`] before it blocks
+/// in [`read_frame`], so read timeouts and the [`FrameEvent`] /
+/// [`FrameError`] outcomes are those of `read_frame`. It polls only when
+/// the previous read on this socket ended within the budget (a peer that
+/// answered slowly last time will likely do so again), when the buffer is
+/// empty, and when one of the process-wide poll slots is free.
+#[derive(Debug)]
+pub(crate) struct FrameWait {
+    poll_next: bool,
+}
+
+impl FrameWait {
+    pub(crate) fn new() -> Self {
+        FrameWait { poll_next: true }
+    }
+
+    /// Reads one frame, spinning first when the guards allow.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`]; also [`FrameError::Io`] when the socket's
+    /// blocking mode cannot be switched.
+    pub(crate) fn read(
+        &mut self,
+        reader: &mut BufReader<TcpStream>,
+        max_len: u32,
+    ) -> Result<FrameEvent, FrameError> {
+        self.read_with(reader, max_len, SPIN_BUDGET, &POLLERS)
+    }
+
+    fn read_with(
+        &mut self,
+        reader: &mut BufReader<TcpStream>,
+        max_len: u32,
+        budget: Duration,
+        slots: &PollSlots,
+    ) -> Result<FrameEvent, FrameError> {
+        let start = Instant::now();
+        if self.poll_next && reader.buffer().is_empty() {
+            if let Some(_slot) = slots.take() {
+                poll(reader.get_ref(), budget).map_err(FrameError::Io)?;
+            }
+        }
+        let event = read_frame(reader, max_len);
+        self.record(start.elapsed(), budget);
+        event
+    }
+
+    /// Polls next time only if this wait ended within the budget.
+    fn record(&mut self, waited: Duration, budget: Duration) {
+        self.poll_next = waited <= budget;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::net::{Shutdown, TcpListener};
 
     fn framed(body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -260,5 +403,145 @@ mod tests {
 
         let mut torn = Stalling { script: vec![4, 0, 0, 0, 1], pos: 0 };
         assert!(matches!(read_frame(&mut torn, 16), Err(FrameError::Truncated)));
+    }
+
+    /// A connected loopback pair: the reading end (with `timeout`) and
+    /// its peer.
+    fn socket_pair(timeout: Duration) -> (BufReader<TcpStream>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (read_end, _) = listener.accept().unwrap();
+        read_end.set_read_timeout(Some(timeout)).unwrap();
+        (BufReader::new(read_end), peer)
+    }
+
+    fn busy(slots: &PollSlots) -> usize {
+        slots.busy.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_queued_frame_is_read_without_blocking() {
+        let (mut reader, mut peer) = socket_pair(Duration::from_secs(10));
+        write_frame(&mut peer, b"queued").unwrap();
+        let slots = PollSlots::new(1);
+        let mut wait = FrameWait::new();
+        // A blocking read that found nothing would sit out the 10 s
+        // timeout; the budget is long so a slow host still counts as short.
+        let budget = Duration::from_secs(1);
+        let start = Instant::now();
+        match wait.read_with(&mut reader, 16, budget, &slots).unwrap() {
+            FrameEvent::Frame(body) => assert_eq!(body, b"queued"),
+            other => panic!("expected frame, got {other:?}"),
+        }
+        assert!(start.elapsed() < budget);
+        assert!(wait.poll_next, "a wait within the budget keeps polling");
+        assert_eq!(busy(&slots), 0);
+    }
+
+    #[test]
+    fn an_idle_socket_blocks_until_its_read_timeout_after_the_poll() {
+        let timeout = Duration::from_millis(30);
+        let (mut reader, _peer) = socket_pair(timeout);
+        let slots = PollSlots::new(1);
+        let mut wait = FrameWait::new();
+        let start = Instant::now();
+        let event = wait.read_with(&mut reader, 16, SPIN_BUDGET, &slots).unwrap();
+        assert!(matches!(event, FrameEvent::Idle), "{event:?}");
+        // Left non-blocking, the read would have returned at once.
+        assert!(start.elapsed() >= timeout - Duration::from_millis(5), "{:?}", start.elapsed());
+        assert!(!wait.poll_next, "a wait past the budget stops polling");
+        assert_eq!(busy(&slots), 0);
+    }
+
+    #[test]
+    fn a_peer_closing_during_the_poll_is_a_clean_close() {
+        let (mut reader, peer) = socket_pair(Duration::from_secs(10));
+        let slots = PollSlots::new(1);
+        // The close lands during the poll or before it starts; either way
+        // the poll must end at the close, not at its budget.
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            peer.shutdown(Shutdown::Both).unwrap();
+        });
+        let start = Instant::now();
+        let budget = Duration::from_secs(5);
+        let event = FrameWait::new().read_with(&mut reader, 16, budget, &slots).unwrap();
+        assert!(matches!(event, FrameEvent::Closed), "{event:?}");
+        assert!(start.elapsed() < budget, "the poll saw the close");
+        assert_eq!(busy(&slots), 0);
+        closer.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_stalling_mid_frame_is_truncated() {
+        let (mut reader, mut peer) = socket_pair(Duration::from_millis(1));
+        peer.write_all(&[8, 0]).unwrap();
+        let slots = PollSlots::new(1);
+        let got = FrameWait::new().read_with(&mut reader, 16, SPIN_BUDGET, &slots);
+        assert!(matches!(got, Err(FrameError::Truncated)), "{got:?}");
+        assert_eq!(busy(&slots), 0);
+        drop(peer);
+    }
+
+    #[test]
+    fn a_long_wait_disables_the_next_poll_and_a_short_one_reenables_it() {
+        let budget = SPIN_BUDGET;
+        let mut wait = FrameWait::new();
+        assert!(wait.poll_next);
+        wait.record(budget * 2, budget);
+        assert!(!wait.poll_next);
+        wait.record(budget, budget);
+        assert!(wait.poll_next);
+
+        // Over a socket: an idle read disables the poll; the next read
+        // blocks without one, finds its frame queued and re-enables it.
+        let (mut reader, mut peer) = socket_pair(Duration::from_millis(20));
+        let slots = PollSlots::new(1);
+        let budget = Duration::from_millis(10);
+        let idle = wait.read_with(&mut reader, 16, budget, &slots).unwrap();
+        assert!(matches!(idle, FrameEvent::Idle) && !wait.poll_next);
+        write_frame(&mut peer, b"x").unwrap();
+        let event = wait.read_with(&mut reader, 16, budget, &slots).unwrap();
+        assert!(matches!(event, FrameEvent::Frame(_)) && wait.poll_next, "{event:?}");
+    }
+
+    #[test]
+    fn poll_slots_are_never_over_granted_and_always_released() {
+        let slots = PollSlots::new(2);
+        let a = slots.take().unwrap();
+        let b = slots.take().unwrap();
+        assert!(slots.take().is_none(), "a third slot of two");
+        drop(a);
+        let c = slots.take().unwrap();
+        drop((b, c));
+        assert_eq!(busy(&slots), 0);
+
+        // A panic while holding a slot still gives it back.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = slots.take().unwrap();
+            panic!("reader failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(busy(&slots), 0);
+
+        // Contended: no thread ever sees more slots taken than exist.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..2_000 {
+                        if let Some(_slot) = slots.take() {
+                            assert!(busy(&slots) <= 2);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(busy(&slots), 0);
+    }
+
+    #[test]
+    fn the_process_wide_cap_is_the_cpu_count() {
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(PollSlots::new(0).cap(), cpus);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Threading model: one acceptor thread polls a non-blocking listener and
 //! spawns a plain OS thread per accepted connection (see the private
-//! `conn` module). Shutdown is a single shared [`AtomicBool`] that the
+//! `conn` module), which polls its socket briefly before each blocking
+//! read (see [`crate::frame`]). Shutdown is a single shared [`AtomicBool`] that the
 //! acceptor and every connection poll on their idle ticks — raised either
 //! by [`ServerHandle::request_shutdown`] or by a `Shutdown` request on
 //! any connection — so the whole fleet drains within one read-timeout of

@@ -351,20 +351,20 @@ impl<'a> Search<'a> {
 
 /// The per-handle state every windowed structure's handle carries — the
 /// hop RNG, the telemetry sampler and the handle's private counter block —
-/// plus the structure-level hub and hook it reports to. Dropping it folds
-/// the block back into the hub.
+/// plus the structure-level hub and hook it reports to. Dropping it parks
+/// the block in the hub, counts and all, for the next handle to reuse.
 pub(crate) struct OpState<'s> {
     hub: &'s CounterHub,
     telemetry: &'s TelemetryHook,
     pub(crate) rng: HopRng,
     sampler: Sampler,
-    /// Single-writer; summed into the structure's `metrics()` while live,
-    /// folded into the shared block on drop. See [`CounterHub`].
+    /// Single-writer while this state lives; summed into the structure's
+    /// `metrics()` for the hub's life, parked on drop. See [`CounterHub`].
     counters: Arc<HandleCounters>,
 }
 
 impl<'s> OpState<'s> {
-    /// Registers a fresh counter block with `hub`.
+    /// Takes a counter block from `hub`: a parked one, or a new one.
     pub(crate) fn new(hub: &'s CounterHub, telemetry: &'s TelemetryHook, rng: HopRng) -> Self {
         OpState { hub, telemetry, rng, sampler: telemetry.sampler(), counters: hub.register() }
     }

@@ -83,22 +83,6 @@ pub(crate) fn bump(field: &AtomicU64, n: u64) {
 }
 
 impl OpCounters {
-    /// Folds this block into `base` (handle drop: the retiring handle's
-    /// counts move to the structure's shared block).
-    fn merge_into(&self, base: &OpCounters) {
-        let s = self.snapshot();
-        add(&base.cas_failures, s.cas_failures);
-        add(&base.probes, s.probes);
-        add(&base.shifts_up, s.shifts_up);
-        add(&base.shifts_down, s.shifts_down);
-        add(&base.global_restarts, s.global_restarts);
-        add(&base.empty_pops, s.empty_pops);
-        add(&base.ops, s.ops);
-        add(&base.batched_ops, s.batched_ops);
-        add(&base.search_rounds, s.search_rounds);
-        add(&base.retunes, s.retunes);
-    }
-
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
@@ -116,15 +100,19 @@ impl OpCounters {
 }
 
 /// The counter state a windowed structure owns: one shared block for
-/// structure-level events (retunes) and retired handles, plus one
-/// **per-handle** block per live handle.
+/// structure-level events (retunes), plus one **per-handle** block for
+/// every handle that has ever been live at once.
 ///
 /// Handles write only their own block ([`bump`] — plain relaxed
 /// load+store, no locked read-modify-write), which removes the per-op
 /// atomic-RMW tax *and* the false-sharing between handles that a single
-/// shared block would cost under contention. [`CounterHub::snapshot`]
-/// sums base + live blocks, so `metrics()` stays exact at every instant;
-/// a dropped handle folds its block into the base first.
+/// shared block would cost under contention. A dropped handle's block is
+/// parked, not folded into the base: its counts stay where they are, and
+/// the next [`CounterHub::register`] hands the block, counts and all, to
+/// a new handle. [`CounterHub::snapshot`] sums the base and every block,
+/// live or parked, so `metrics()` stays exact at every instant, and a
+/// handle costs no allocation once the hub holds as many blocks as
+/// handles have ever been live at once.
 #[derive(Debug, Default)]
 pub(crate) struct CounterHub {
     base: OpCounters,
@@ -133,7 +121,10 @@ pub(crate) struct CounterHub {
 
 #[derive(Debug, Default)]
 struct HubInner {
-    locals: Vec<Arc<HandleCounters>>,
+    /// Every block handed out so far, live or parked.
+    blocks: Vec<Arc<HandleCounters>>,
+    /// The blocks no live handle owns, ready for the next handle.
+    parked: Vec<Arc<HandleCounters>>,
     /// Raw totals at the last [`CounterHub::reset`]: per-handle blocks are
     /// single-writer and must never be stored to from outside, so a reset
     /// subtracts instead of zeroing.
@@ -147,29 +138,37 @@ impl CounterHub {
         add(&self.base.retunes, 1);
     }
 
-    /// A fresh per-handle block, summed into snapshots while registered.
-    /// The caller must pass it back to [`CounterHub::release`] when the
-    /// handle drops.
+    /// A per-handle block, summed into snapshots for the hub's life: a
+    /// parked one if there is one, else a new one. The caller becomes the
+    /// block's only writer and must pass it back to
+    /// [`CounterHub::release`] when the handle drops. A parked block keeps
+    /// its counts, so the new writer adds to them; the hub mutex orders
+    /// the previous writer's last store before the new writer's first load.
     pub(crate) fn register(&self) -> Arc<HandleCounters> {
+        let mut inner = self.inner.lock();
+        if let Some(block) = inner.parked.pop() {
+            return block;
+        }
         let block = Arc::new(HandleCounters::default());
-        self.inner.lock().locals.push(Arc::clone(&block));
+        inner.blocks.push(Arc::clone(&block));
         block
     }
 
-    /// Unregisters a handle's block, folding its counts into the base so
-    /// totals are unaffected by the handle's lifetime.
+    /// Parks a dropped handle's block for the next [`CounterHub::register`].
     pub(crate) fn release(&self, block: &Arc<HandleCounters>) {
-        let mut inner = self.inner.lock();
-        if let Some(i) = inner.locals.iter().position(|b| Arc::ptr_eq(b, block)) {
-            inner.locals.swap_remove(i);
-        }
-        block.merge_into(&self.base);
+        self.inner.lock().parked.push(Arc::clone(block));
     }
 
-    /// Raw monotone totals: base plus every live handle block.
+    /// How many per-handle blocks the hub holds, live and parked.
+    #[cfg(test)]
+    pub(crate) fn block_count(&self) -> usize {
+        self.inner.lock().blocks.len()
+    }
+
+    /// Raw monotone totals: base plus every handle block.
     fn raw(&self, inner: &HubInner) -> MetricsSnapshot {
         let mut total = self.base.snapshot();
-        for block in &inner.locals {
+        for block in &inner.blocks {
             total = total.merged(&block.snapshot());
         }
         total
@@ -381,12 +380,30 @@ mod tests {
         assert_eq!(snap.cas_failures, 0);
         hub.reset();
         assert_eq!(hub.snapshot(), MetricsSnapshot::default());
-        // Releasing the handle block folds its counts into the base
-        // without disturbing the reset point.
+        // Releasing the handle block parks it with its counts, still
+        // summed, without disturbing the reset point.
         bump(&c.ops, 3);
         hub.release(&c);
+        drop(c);
         assert_eq!(hub.snapshot().ops, 3);
         assert_eq!(hub.snapshot().global_restarts, 0);
+        // The next handle gets the parked block and adds to its counts.
+        let d = hub.register();
+        bump(&d.ops, 4);
+        assert_eq!(hub.snapshot().ops, 7);
+        assert_eq!(hub.block_count(), 1);
+    }
+
+    #[test]
+    fn blocks_are_reused_only_once_parked() {
+        let hub = CounterHub::default();
+        let a = hub.register();
+        let b = hub.register();
+        assert!(!Arc::ptr_eq(&a, &b), "two live handles never share a block");
+        hub.release(&a);
+        let c = hub.register();
+        assert!(Arc::ptr_eq(&a, &c), "a parked block is reused before a new one");
+        assert_eq!(hub.block_count(), 2);
     }
 
     #[test]

@@ -1230,6 +1230,18 @@ mod tests {
     }
 
     #[test]
+    fn sequential_handles_reuse_one_counter_block() {
+        let stack: Stack2D<u32> = Stack2D::new(params(2, 2, 1));
+        for i in 0..1_000 {
+            let mut h = stack.handle();
+            h.push(i);
+            assert_eq!(h.pop(), Some(i));
+        }
+        assert_eq!(stack.counters.block_count(), 1, "each handle took the parked block");
+        assert_eq!(stack.metrics().ops, 2_000);
+    }
+
+    #[test]
     fn fixed_width_stack_rejects_wider_retune() {
         let stack: Stack2D<u8> = Stack2D::new(params(4, 1, 1));
         assert_eq!(

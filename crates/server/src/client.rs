@@ -3,18 +3,19 @@
 //! One [`Client`] wraps one TCP connection; [`Client::call`] sends a
 //! pipelined request batch as a single frame and waits for the matching
 //! response frame, spinning briefly before it blocks (see
-//! [`crate::frame`]). Replies are read through a buffer, so one `read`
-//! call usually takes a whole frame. The convenience verbs are
-//! one-request batches. Used by the harness load generator, the
-//! integration tests, and the example.
+//! [`crate::frame`]). A request frame is encoded, length prefix and all,
+//! into one buffer the client reuses, and replies are read through a
+//! buffer, so one `read` call usually takes a whole frame. The
+//! convenience verbs are one-request batches. Used by the harness load
+//! generator, the integration tests, and the example.
 
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::frame::{write_frame, FrameError, FrameEvent, FrameWait, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{send_frame, FrameError, FrameEvent, FrameWait, DEFAULT_MAX_FRAME_LEN};
 use crate::protocol::{
-    decode_response_batch, encode_request_batch, Personality, Request, Response, WireError,
+    decode_response_batch, encode_request_batch_into, Personality, Request, Response, WireError,
 };
 
 /// Why a client call failed.
@@ -65,6 +66,8 @@ impl From<io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     wait: FrameWait,
+    /// The outgoing frame, rebuilt in place for every call.
+    frame: Vec<u8>,
     max_frame_len: u32,
 }
 
@@ -80,6 +83,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             wait: FrameWait::new(),
+            frame: Vec::new(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         })
     }
@@ -111,7 +115,9 @@ impl Client {
     /// Any [`ClientError`]; the connection should be considered dead after
     /// an error.
     pub fn call(&mut self, batch: &[Request]) -> Result<Vec<Response>, ClientError> {
-        write_frame(self.reader.get_mut(), &encode_request_batch(batch))?;
+        send_frame(self.reader.get_mut(), &mut self.frame, |out| {
+            encode_request_batch_into(out, batch)
+        })?;
         let body = loop {
             match self.wait.read(&mut self.reader, self.max_frame_len) {
                 Ok(FrameEvent::Frame(body)) => break body,

@@ -1,16 +1,19 @@
 //! Per-connection service loop: frames in, batches executed, frames out.
 //!
 //! Each accepted socket gets one OS thread running [`serve_connection`].
-//! A request batch is executed in two passes: the first resolves every
-//! request against the tenant table, looking up once per run of requests
-//! that name the same tenant (producing either an immediate response or
-//! a pending structure op holding its `Arc<Tenant>`), the second drives
-//! the pending ops through per-tenant [`OpsHandle`]s that are created at
-//! most once per frame and seeded with the connection id — so a
-//! connection replays a deterministic locality/hop sequence on every
-//! tenant it touches, batch after batch. The reply goes out as one write
-//! (see [`write_frame`]), and the next request is awaited through a
-//! [`FrameWait`], which spins briefly before it blocks.
+//! A frame is decoded whole into borrowed [`RequestView`]s before any of
+//! its requests runs, so a frame that does not decode runs none of them.
+//! The batch then executes in two passes. The first resolves every
+//! request through the connection's [`TenantCache`], producing either an
+//! immediate response or a pending structure op that names its tenant by
+//! cache index. The second drives the pending ops through per-tenant
+//! [`OpsHandle`]s that are created at most once per frame and seeded with
+//! the connection id — so a connection replays a deterministic
+//! locality/hop sequence on every tenant it touches, batch after batch.
+//! The reply is encoded, length prefix and all, into a buffer the
+//! connection reuses and goes out as one write (see [`send_frame`]), and
+//! the next request is awaited through a [`FrameWait`], which spins
+//! briefly before it blocks.
 //!
 //! Failure policy (exercised by `tests/protocol_fuzz.rs`): a frame that
 //! does not decode is answered with one typed `Malformed` error and the
@@ -20,18 +23,18 @@
 //! panics on any input byte sequence.
 
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 use stack2d::sync::atomic::{AtomicBool, Ordering};
 use stack2d::sync::Arc;
 use stack2d::OpsHandle;
 
-use crate::frame::{write_frame, FrameError, FrameEvent, FrameWait};
+use crate::frame::{send_frame, FrameError, FrameEvent, FrameWait};
 use crate::protocol::{
-    decode_request_batch, encode_response_batch, ErrorCode, Personality, Request, Response,
+    decode_request_views, encode_response_batch_into, ErrorCode, Personality, RequestView, Response,
 };
-use crate::tenant::{Tenant, TenantMap, MAX_ACQUIRE_COST};
+use crate::tenant::{slot, Tenant, TenantMap, MAX_ACQUIRE_COST};
 
 /// Everything a connection thread needs, cloned per accept.
 pub(crate) struct ConnContext {
@@ -43,60 +46,101 @@ pub(crate) struct ConnContext {
 
 /// Runs one connection to completion (EOF, error, or server shutdown).
 pub(crate) fn serve_connection(stream: TcpStream, ctx: ConnContext) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = write_half;
     let mut reader = BufReader::new(stream);
     let mut wait = FrameWait::new();
+    let mut conn = Connection::new(&ctx.tenants, ctx.conn_id);
     loop {
         if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        match wait.read(&mut reader, ctx.max_frame_len) {
+        let next = match wait.read(&mut reader, ctx.max_frame_len) {
             Ok(FrameEvent::Idle) => continue,
             Ok(FrameEvent::Closed) => break,
-            Ok(FrameEvent::Frame(body)) => match decode_request_batch(&body) {
-                Ok(reqs) => {
-                    let mut shutdown = false;
-                    let resps = execute_batch(&ctx.tenants, ctx.conn_id, &reqs, &mut shutdown);
-                    let ok = write_frame(&mut writer, &encode_response_batch(&resps)).is_ok();
-                    if shutdown {
-                        ctx.stop.store(true, Ordering::Release);
-                        break;
-                    }
-                    if !ok {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    // Typed reply, then teardown: the stream position is
-                    // no longer trustworthy after a malformed body.
-                    let err = Response::Error { code: ErrorCode::Malformed, detail: e.to_string() };
-                    let _ = write_frame(&mut writer, &encode_response_batch(&[err]));
-                    break;
-                }
-            },
+            Ok(FrameEvent::Frame(body)) => conn.serve_frame(&body, &mut writer),
             Err(FrameError::Oversized(len)) => {
-                let err = Response::Error {
-                    code: ErrorCode::FrameTooLarge,
-                    detail: format!("len {len}"),
-                };
-                let _ = write_frame(&mut writer, &encode_response_batch(&[err]));
+                conn.refuse(&mut writer, ErrorCode::FrameTooLarge, format!("len {len}"));
                 break;
             }
             Err(FrameError::Truncated | FrameError::Io(_)) => break,
+        };
+        match next {
+            Next::Continue => {}
+            Next::Close => break,
+            Next::Shutdown => {
+                ctx.stop.store(true, Ordering::Release);
+                break;
+            }
         }
     }
 }
 
+/// What the connection loop does after answering a frame.
+#[derive(Debug, PartialEq, Eq)]
+enum Next {
+    Continue,
+    Close,
+    /// The frame asked the whole server to stop.
+    Shutdown,
+}
+
+/// Every tenant one connection has resolved, kept for the connection's
+/// life. Tenants are never deleted (DESIGN.md §13), so an entry never goes
+/// stale. A miss is never cached, so a tenant created later, on any
+/// connection, is found by the next lookup that names it.
+struct TenantCache<'m> {
+    map: &'m TenantMap,
+    /// The resolved tenants; a pending op names one by its index here.
+    tenants: Vec<Arc<Tenant>>,
+    /// Name to index, one table per personality like the map's own, so a
+    /// lookup hashes a `&str` and allocates nothing.
+    index: [HashMap<String, usize>; 3],
+    /// The last hit: a run of requests naming one tenant skips the hash.
+    last: Option<usize>,
+}
+
+impl<'m> TenantCache<'m> {
+    fn new(map: &'m TenantMap) -> Self {
+        TenantCache { map, tenants: Vec::new(), index: Default::default(), last: None }
+    }
+
+    /// The cache index and tenant of `(personality, name)`, asking the map
+    /// only for a tenant this connection has not resolved before.
+    fn get(&mut self, personality: Personality, name: &str) -> Option<(usize, &Tenant)> {
+        let i = match self.last {
+            Some(i)
+                if self.tenants[i].personality() == personality
+                    && self.tenants[i].name() == name =>
+            {
+                i
+            }
+            _ => {
+                let names = &mut self.index[slot(personality)];
+                match names.get(name) {
+                    Some(&i) => i,
+                    None => {
+                        let tenant = self.map.get(personality, name)?;
+                        self.tenants.push(tenant);
+                        names.insert(name.to_owned(), self.tenants.len() - 1);
+                        self.tenants.len() - 1
+                    }
+                }
+            }
+        };
+        self.last = Some(i);
+        Some((i, &self.tenants[i]))
+    }
+}
+
 /// A request after tenant resolution: either already answered, or a
-/// structure op pending handle execution.
+/// structure op pending handle execution on the tenant at a cache index.
 enum Slot {
     Ready(Response),
-    Produce(Arc<Tenant>, u64),
-    Consume(Arc<Tenant>),
-    Acquire(Arc<Tenant>, u32),
+    Produce(usize, u64),
+    Consume(usize),
+    Acquire(usize, u32),
 }
 
 fn unknown(personality: Personality, tenant: &str) -> Response {
@@ -106,148 +150,181 @@ fn unknown(personality: Personality, tenant: &str) -> Response {
     }
 }
 
-/// Tenant lookups for one frame's resolve pass. Consecutive lookups of
-/// the same `(personality, name)` touch the tenant map once and share the
-/// answer, found or not; a `Create` forgets it, since it may add the
-/// tenant a remembered miss named. Every request still gets its own
-/// slot, so errors stay per request and in order.
-struct RunResolver<'m, 'r> {
-    tenants: &'m TenantMap,
-    last: Option<(Personality, &'r str, Option<Arc<Tenant>>)>,
+/// One connection's state across its frames: the tenant cache, and the
+/// slot, response and frame buffers every frame reuses.
+struct Connection<'m> {
+    cache: TenantCache<'m>,
+    seed: u64,
+    slots: Vec<Slot>,
+    resps: Vec<Response>,
+    frame: Vec<u8>,
 }
 
-impl<'r> RunResolver<'_, 'r> {
-    fn get(&mut self, personality: Personality, name: &'r str) -> Option<Arc<Tenant>> {
-        match &self.last {
-            Some((p, n, found)) if *p == personality && *n == name => found.clone(),
-            _ => {
-                let found = self.tenants.get(personality, name);
-                self.last = Some((personality, name, found.clone()));
-                found
-            }
+impl<'m> Connection<'m> {
+    fn new(map: &'m TenantMap, seed: u64) -> Self {
+        Connection {
+            cache: TenantCache::new(map),
+            seed,
+            slots: Vec::new(),
+            resps: Vec::new(),
+            frame: Vec::new(),
         }
+    }
+
+    /// Decodes, executes and answers one frame body.
+    fn serve_frame(&mut self, body: &[u8], w: &mut impl Write) -> Next {
+        let reqs = match decode_request_views(body) {
+            Ok(reqs) => reqs,
+            Err(e) => {
+                // Typed reply, then teardown: the stream position is no
+                // longer trustworthy after a malformed body.
+                self.refuse(w, ErrorCode::Malformed, e.to_string());
+                return Next::Close;
+            }
+        };
+        let shutdown = self.execute(&reqs);
+        let resps = &self.resps;
+        let sent = send_frame(w, &mut self.frame, |out| encode_response_batch_into(out, resps));
+        match (shutdown, sent) {
+            (true, _) => Next::Shutdown,
+            (false, Ok(())) => Next::Continue,
+            (false, Err(_)) => Next::Close,
+        }
+    }
+
+    /// Answers with one typed error; the caller closes the connection.
+    fn refuse(&mut self, w: &mut impl Write, code: ErrorCode, detail: String) {
+        let err = [Response::Error { code, detail }];
+        let _ = send_frame(w, &mut self.frame, |out| encode_response_batch_into(out, &err));
+    }
+
+    /// Executes one decoded batch in order into `self.resps`, reusing one
+    /// seeded handle per tenant for the whole frame; `true` when the batch
+    /// asked for shutdown.
+    ///
+    /// Adjacent same-tenant runs of one verb are coalesced into a single
+    /// batched structure call (`produce_n` / `consume_n`), so a pipelined
+    /// client pays one engine search round per run instead of one per
+    /// request. Responses still line up one-to-one with requests: a
+    /// coalesced produce run answers `Done` per request, and a consume run
+    /// answers `Item` for each value the batch returned, then `Empty` for
+    /// the rest — exactly what request-at-a-time execution would have
+    /// produced, since handles are exclusive to this frame.
+    fn execute(&mut self, reqs: &[RequestView<'_>]) -> bool {
+        let mut shutdown = false;
+        self.slots.clear();
+        for &req in reqs {
+            let slot = resolve(&mut self.cache, req, &mut shutdown);
+            self.slots.push(slot);
+        }
+        self.resps.clear();
+        run_slots(&self.cache.tenants, &self.slots, self.seed, &mut self.resps);
+        shutdown
     }
 }
 
-fn resolve<'r>(runs: &mut RunResolver<'_, 'r>, req: &'r Request, shutdown: &mut bool) -> Slot {
+fn resolve(cache: &mut TenantCache<'_>, req: RequestView<'_>, shutdown: &mut bool) -> Slot {
     match req {
-        Request::Ping => Slot::Ready(Response::Pong),
-        Request::Shutdown => {
+        RequestView::Ping => Slot::Ready(Response::Pong),
+        RequestView::Shutdown => {
             *shutdown = true;
             Slot::Ready(Response::ShuttingDown)
         }
-        Request::Create { personality, tenant, limit } => {
-            runs.last = None;
-            match runs.tenants.get_or_create(*personality, tenant, *limit) {
+        RequestView::Create { personality, tenant, limit } => {
+            match cache.map.get_or_create(personality, tenant, limit) {
                 Ok((_, fresh)) => Slot::Ready(Response::Created { fresh }),
                 Err(err) => Slot::Ready(err),
             }
         }
-        Request::Produce { personality, tenant, value } => match runs.get(*personality, tenant) {
-            Some(t) if t.supports_ops() => Slot::Produce(t, *value),
+        RequestView::Produce { personality, tenant, value } => match cache.get(personality, tenant)
+        {
+            Some((i, t)) if t.supports_ops() => Slot::Produce(i, value),
             Some(_) => Slot::Ready(Response::Error {
                 code: ErrorCode::Unsupported,
                 detail: "use acquire on a rate-limiter".to_string(),
             }),
-            None => Slot::Ready(unknown(*personality, tenant)),
+            None => Slot::Ready(unknown(personality, tenant)),
         },
-        Request::Consume { personality, tenant } => match runs.get(*personality, tenant) {
-            Some(t) if t.supports_ops() => Slot::Consume(t),
+        RequestView::Consume { personality, tenant } => match cache.get(personality, tenant) {
+            Some((i, t)) if t.supports_ops() => Slot::Consume(i),
             Some(_) => Slot::Ready(Response::Error {
                 code: ErrorCode::Unsupported,
                 detail: "rate-limiters cannot consume".to_string(),
             }),
-            None => Slot::Ready(unknown(*personality, tenant)),
+            None => Slot::Ready(unknown(personality, tenant)),
         },
-        Request::Acquire { tenant, cost } => {
-            if *cost > MAX_ACQUIRE_COST {
+        RequestView::Acquire { tenant, cost } => {
+            if cost > MAX_ACQUIRE_COST {
                 return Slot::Ready(Response::Error {
                     code: ErrorCode::BadRequest,
                     detail: format!("cost {cost} over ceiling {MAX_ACQUIRE_COST}"),
                 });
             }
-            match runs.get(Personality::RateLimiter, tenant) {
-                Some(t) => Slot::Acquire(t, *cost),
+            match cache.get(Personality::RateLimiter, tenant) {
+                Some((i, _)) => Slot::Acquire(i, cost),
                 None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
             }
         }
-        Request::Reset { tenant } => match runs.get(Personality::RateLimiter, tenant) {
-            Some(t) if t.limiter_reset() => Slot::Ready(Response::Done),
+        RequestView::Reset { tenant } => match cache.get(Personality::RateLimiter, tenant) {
+            Some((_, t)) if t.limiter_reset() => Slot::Ready(Response::Done),
             Some(_) => Slot::Ready(Response::Error {
                 code: ErrorCode::Unsupported,
                 detail: "reset is rate-limiter only".to_string(),
             }),
             None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
         },
-        Request::Stats { personality, tenant } => match runs.get(*personality, tenant) {
-            Some(t) => Slot::Ready(t.stats()),
-            None => Slot::Ready(unknown(*personality, tenant)),
+        RequestView::Stats { personality, tenant } => match cache.get(personality, tenant) {
+            Some((_, t)) => Slot::Ready(t.stats()),
+            None => Slot::Ready(unknown(personality, tenant)),
         },
     }
 }
 
-/// Executes one pipelined batch in order, reusing one seeded handle per
-/// tenant for the whole frame.
-///
-/// Adjacent same-tenant runs of one verb are coalesced into a single
-/// batched structure call (`produce_n` / `consume_n`), so a pipelined
-/// client pays one engine search round per run instead of one per
-/// request. Responses still line up one-to-one with requests: a coalesced
-/// produce run answers `Done` per request, and a consume run answers
-/// `Item` for each value the batch returned, then `Empty` for the rest —
-/// exactly what request-at-a-time execution would have produced, since
-/// handles are exclusive to this frame.
-pub(crate) fn execute_batch(
-    tenants: &TenantMap,
-    conn_seed: u64,
-    reqs: &[Request],
-    shutdown: &mut bool,
-) -> Vec<Response> {
-    let mut runs = RunResolver { tenants, last: None };
-    let slots: Vec<Slot> = reqs.iter().map(|req| resolve(&mut runs, req, shutdown)).collect();
-    // Handles borrow the tenants kept alive inside `slots`; keyed by
-    // tenant identity so every request in the frame that touches the same
-    // tenant shares one handle.
-    let mut handles: HashMap<*const Tenant, Box<dyn OpsHandle<u64> + '_>> = HashMap::new();
-    let mut out = Vec::with_capacity(slots.len());
+/// A frame's handle table: at most one handle per cached tenant, filled
+/// on first use.
+type Handles<'t> = Vec<Option<Box<dyn OpsHandle<u64> + 't>>>;
+
+/// The second pass: runs the pending ops of `slots` on `tenants` (the
+/// cache's) and appends one response per slot to `out`.
+fn run_slots(tenants: &[Arc<Tenant>], slots: &[Slot], seed: u64, out: &mut Vec<Response>) {
+    let mut handles: Handles<'_> = Vec::new();
     let mut i = 0;
     while i < slots.len() {
         let resp = match &slots[i] {
             Slot::Ready(resp) => resp.clone(),
-            Slot::Produce(t, value) => {
-                let mut values = vec![*value];
-                let run = slots[i + 1..]
+            &Slot::Produce(t, _) => {
+                let n = 1 + slots[i + 1..]
                     .iter()
-                    .take_while(|s| matches!(s, Slot::Produce(nt, _) if Arc::ptr_eq(nt, t)))
-                    .map(|s| match s {
-                        Slot::Produce(_, v) => *v,
-                        _ => unreachable!(),
-                    });
-                values.extend(run);
-                let n = values.len();
-                handle_for(&mut handles, t, conn_seed).produce_n(values);
+                    .take_while(|s| matches!(s, Slot::Produce(nt, _) if *nt == t))
+                    .count();
+                let mut values = Vec::with_capacity(n);
+                values.extend(slots[i..i + n].iter().filter_map(|s| match s {
+                    Slot::Produce(_, v) => Some(*v),
+                    _ => None,
+                }));
+                handle_for(&mut handles, tenants, t, seed).produce_n(values);
                 out.extend(std::iter::repeat_n(Response::Done, n));
                 i += n;
                 continue;
             }
-            Slot::Consume(t) => {
+            &Slot::Consume(t) => {
                 let n = 1 + slots[i + 1..]
                     .iter()
-                    .take_while(|s| matches!(s, Slot::Consume(nt) if Arc::ptr_eq(nt, t)))
+                    .take_while(|s| matches!(s, Slot::Consume(nt) if *nt == t))
                     .count();
-                let got = handle_for(&mut handles, t, conn_seed).consume_n(n);
+                let got = handle_for(&mut handles, tenants, t, seed).consume_n(n);
                 let misses = n - got.len();
                 out.extend(got.into_iter().map(|value| Response::Item { value }));
                 out.extend(std::iter::repeat_n(Response::Empty, misses));
                 i += n;
                 continue;
             }
-            Slot::Acquire(t, cost) => {
-                let h = handle_for(&mut handles, t, conn_seed);
-                for _ in 0..*cost {
+            &Slot::Acquire(t, cost) => {
+                let h = handle_for(&mut handles, tenants, t, seed);
+                for _ in 0..cost {
                     h.produce(1);
                 }
-                t.limiter_decision().unwrap_or(Response::Error {
+                tenants[t].limiter_decision().unwrap_or_else(|| Response::Error {
                     code: ErrorCode::Unsupported,
                     detail: "not a rate-limiter".to_string(),
                 })
@@ -256,29 +333,52 @@ pub(crate) fn execute_batch(
         out.push(resp);
         i += 1;
     }
-    out
 }
 
-fn handle_for<'m, 's>(
-    handles: &'m mut HashMap<*const Tenant, Box<dyn OpsHandle<u64> + 's>>,
-    tenant: &'s Arc<Tenant>,
+fn handle_for<'h, 't>(
+    handles: &'h mut Handles<'t>,
+    tenants: &'t [Arc<Tenant>],
+    t: usize,
     seed: u64,
-) -> &'m mut Box<dyn OpsHandle<u64> + 's> {
-    handles.entry(Arc::as_ptr(tenant)).or_insert_with(|| tenant.ops_handle(seed))
+) -> &'h mut Box<dyn OpsHandle<u64> + 't> {
+    if handles.len() <= t {
+        handles.resize_with(tenants.len(), || None);
+    }
+    handles[t].get_or_insert_with(|| tenants[t].ops_handle(seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, FrameEvent, DEFAULT_MAX_FRAME_LEN};
+    use crate::protocol::{decode_response_batch, encode_request_batch, Request};
     use crate::tenant::TenantConfig;
 
     fn map() -> TenantMap {
         TenantMap::new(TenantConfig::default(), None)
     }
 
+    /// The response batch of one reply frame.
+    fn reply(mut wire: &[u8]) -> Vec<Response> {
+        match read_frame(&mut wire, DEFAULT_MAX_FRAME_LEN).unwrap() {
+            FrameEvent::Frame(body) => {
+                assert!(wire.is_empty(), "one frame per reply");
+                decode_response_batch(&body).unwrap()
+            }
+            other => panic!("expected a reply frame, got {other:?}"),
+        }
+    }
+
+    /// Serves `reqs` as one frame on `conn` and decodes the reply.
+    fn serve(conn: &mut Connection<'_>, reqs: &[Request]) -> (Vec<Response>, Next) {
+        let mut wire = Vec::new();
+        let next = conn.serve_frame(&encode_request_batch(reqs), &mut wire);
+        (reply(&wire), next)
+    }
+
+    /// Serves `reqs` as one frame on a fresh connection.
     fn run(map: &TenantMap, reqs: &[Request]) -> Vec<Response> {
-        let mut shutdown = false;
-        execute_batch(map, 1, reqs, &mut shutdown)
+        serve(&mut Connection::new(map, 1), reqs).0
     }
 
     #[test]
@@ -334,16 +434,13 @@ mod tests {
     #[test]
     fn acquire_counts_cost_and_decides() {
         let map = map();
-        let mut shutdown = false;
-        execute_batch(
+        run(
             &map,
-            1,
             &[Request::Create {
                 personality: Personality::RateLimiter,
                 tenant: "api".into(),
                 limit: 4,
             }],
-            &mut shutdown,
         );
         let resps = run(
             &map,
@@ -517,9 +614,113 @@ mod tests {
     #[test]
     fn shutdown_is_acknowledged_and_flagged() {
         let map = map();
-        let mut shutdown = false;
-        let resps = execute_batch(&map, 1, &[Request::Shutdown], &mut shutdown);
+        let (resps, next) = serve(&mut Connection::new(&map, 1), &[Request::Shutdown]);
         assert_eq!(resps, vec![Response::ShuttingDown]);
-        assert!(shutdown);
+        assert_eq!(next, Next::Shutdown);
+    }
+
+    #[test]
+    fn a_frame_with_a_malformed_last_request_runs_none_of_it() {
+        let map = map();
+        let (limiter, _) = map.get_or_create(Personality::RateLimiter, "api", 100).unwrap();
+        run(&map, &[Request::Acquire { tenant: "api".into(), cost: 3 }]);
+        let mut body = encode_request_batch(&[
+            Request::Create {
+                personality: Personality::ObjectPool,
+                tenant: "new".into(),
+                limit: 0,
+            },
+            Request::Reset { tenant: "api".into() },
+            Request::Ping,
+        ]);
+        // The last request is the one-byte `Ping`: make its tag unknown.
+        *body.last_mut().unwrap() = 0x7f;
+        let mut wire = Vec::new();
+        assert_eq!(Connection::new(&map, 1).serve_frame(&body, &mut wire), Next::Close);
+        let resps = reply(&wire);
+        assert!(matches!(resps[..], [Response::Error { code: ErrorCode::Malformed, .. }]));
+        assert!(map.get(Personality::ObjectPool, "new").is_none(), "no tenant was created");
+        assert_eq!(
+            limiter.limiter_decision(),
+            Some(Response::Decision { allowed: true, observed: 3, limit: 100 }),
+            "no reset was applied"
+        );
+    }
+
+    #[test]
+    fn a_miss_is_not_cached_so_a_tenant_created_elsewhere_is_found() {
+        let map = map();
+        let q = Personality::TaskQueue;
+        let produce = |v: u64| Request::Produce { personality: q, tenant: "late".into(), value: v };
+        let (mut a, mut b) = (Connection::new(&map, 1), Connection::new(&map, 2));
+        assert_eq!(code(&serve(&mut a, &[produce(1)]).0[0]), Some(ErrorCode::UnknownTenant));
+        let create = Request::Create { personality: q, tenant: "late".into(), limit: 0 };
+        assert_eq!(serve(&mut b, &[create]).0, vec![Response::Created { fresh: true }]);
+        assert_eq!(serve(&mut a, &[produce(2)]).0, vec![Response::Done]);
+        assert_eq!(a.cache.tenants.len(), 1);
+    }
+
+    #[test]
+    fn the_cache_holds_each_tenant_once_for_the_connection() {
+        let map = map();
+        let (q, p) = (Personality::TaskQueue, Personality::ObjectPool);
+        for (personality, name) in [(q, "a"), (q, "b"), (p, "a")] {
+            map.get_or_create(personality, name, 0).unwrap();
+        }
+        let produce = |personality, name: &str| Request::Produce {
+            personality,
+            tenant: name.into(),
+            value: 1,
+        };
+        let mut conn = Connection::new(&map, 1);
+        for _ in 0..3 {
+            let frame = [produce(q, "a"), produce(q, "b"), produce(p, "a"), produce(q, "a")];
+            assert_eq!(serve(&mut conn, &frame).0, vec![Response::Done; 4]);
+        }
+        let cache = &conn.cache;
+        assert_eq!(cache.tenants.len(), 3);
+        assert_eq!(cache.index.iter().map(HashMap::len).sum::<usize>(), 3);
+        assert_eq!(cache.index[slot(q)].len(), 2);
+    }
+
+    /// A writer that records the bytes of each `write` call separately.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_leaves_as_one_write_call() {
+        let map = map();
+        let q = Personality::TaskQueue;
+        map.get_or_create(q, "t", 0).unwrap();
+        let mut conn = Connection::new(&map, 1);
+        let frames = [
+            vec![
+                Request::Produce { personality: q, tenant: "t".into(), value: 1 },
+                Request::Consume { personality: q, tenant: "t".into() },
+                Request::Consume { personality: q, tenant: "t".into() },
+            ],
+            vec![Request::Ping],
+        ];
+        for frame in &frames {
+            let mut w = Calls::default();
+            assert_eq!(conn.serve_frame(&encode_request_batch(frame), &mut w), Next::Continue);
+            assert_eq!(w.0.len(), 1, "one write call per reply");
+            assert_eq!(reply(&w.0[0]).len(), frame.len(), "the call holds the whole frame");
+        }
+        let mut w = Calls::default();
+        assert_eq!(conn.serve_frame(&[1, 0, 0x7f], &mut w), Next::Close);
+        assert_eq!(w.0.len(), 1, "a refusal is one write call too");
+        assert!(matches!(reply(&w.0[0])[..], [Response::Error { code: ErrorCode::Malformed, .. }]));
     }
 }

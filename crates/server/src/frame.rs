@@ -165,11 +165,24 @@ fn read_body(
 ///
 /// Propagates the underlying write/flush error.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame body over 4 GiB"))?;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(body);
-    w.write_all(&frame)?;
+    send_frame(w, &mut Vec::with_capacity(4 + body.len()), |out| out.extend_from_slice(body))
+}
+
+/// Builds one frame in `frame`, a buffer the caller reuses across frames
+/// (the length prefix, then the body `body` appends), and writes it as
+/// [`write_frame`] does: one `write_all`, then a flush.
+pub(crate) fn send_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    body(frame);
+    let len =
+        u32::try_from(frame.len() - 4).map_err(|_| io::Error::other("frame body over 4 GiB"))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 

@@ -160,6 +160,88 @@ pub enum Request {
     Shutdown,
 }
 
+/// A [`Request`] borrowed from the frame body it was decoded from: the
+/// same variants and fields, with the tenant name a `&str` slice of the
+/// body. The server executes these, so decoding a frame allocates no
+/// string; [`RequestView::to_owned`] gives the owned request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestView<'a> {
+    /// [`Request::Ping`].
+    Ping,
+    /// [`Request::Create`].
+    Create {
+        /// Namespace the tenant lives in.
+        personality: Personality,
+        /// Tenant name.
+        tenant: &'a str,
+        /// Rate-limiter allowance.
+        limit: u64,
+    },
+    /// [`Request::Produce`].
+    Produce {
+        /// Namespace the tenant lives in.
+        personality: Personality,
+        /// Tenant name.
+        tenant: &'a str,
+        /// Opaque payload.
+        value: u64,
+    },
+    /// [`Request::Consume`].
+    Consume {
+        /// Namespace the tenant lives in.
+        personality: Personality,
+        /// Tenant name.
+        tenant: &'a str,
+    },
+    /// [`Request::Acquire`].
+    Acquire {
+        /// Tenant name in the rate-limiter namespace.
+        tenant: &'a str,
+        /// Tokens this hit consumes.
+        cost: u32,
+    },
+    /// [`Request::Reset`].
+    Reset {
+        /// Tenant name in the rate-limiter namespace.
+        tenant: &'a str,
+    },
+    /// [`Request::Stats`].
+    Stats {
+        /// Namespace the tenant lives in.
+        personality: Personality,
+        /// Tenant name.
+        tenant: &'a str,
+    },
+    /// [`Request::Shutdown`].
+    Shutdown,
+}
+
+impl RequestView<'_> {
+    /// The owned request this view borrows from.
+    pub fn to_owned(self) -> Request {
+        match self {
+            RequestView::Ping => Request::Ping,
+            RequestView::Create { personality, tenant, limit } => {
+                Request::Create { personality, tenant: tenant.to_owned(), limit }
+            }
+            RequestView::Produce { personality, tenant, value } => {
+                Request::Produce { personality, tenant: tenant.to_owned(), value }
+            }
+            RequestView::Consume { personality, tenant } => {
+                Request::Consume { personality, tenant: tenant.to_owned() }
+            }
+            RequestView::Acquire { tenant, cost } => {
+                Request::Acquire { tenant: tenant.to_owned(), cost }
+            }
+            RequestView::Reset { tenant } => Request::Reset { tenant: tenant.to_owned() },
+            RequestView::Stats { personality, tenant } => {
+                Request::Stats { personality, tenant: tenant.to_owned() }
+            }
+            RequestView::Shutdown => Request::Shutdown,
+        }
+    }
+}
+
 /// Why a request was refused (carried in [`Response::Error`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -347,13 +429,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn name(&mut self) -> Result<String, WireError> {
+    fn name(&mut self) -> Result<&'a str, WireError> {
         let len = self.u8()? as usize;
         if len == 0 || len > MAX_NAME_LEN {
             return Err(WireError::BadName);
         }
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| WireError::BadName)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadName)
     }
 
     fn personality(&mut self) -> Result<Personality, WireError> {
@@ -421,38 +503,38 @@ pub fn encode_request(out: &mut Vec<u8>, req: &Request) {
     }
 }
 
-fn decode_one_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
+fn decode_one_request<'a>(r: &mut Reader<'a>) -> Result<RequestView<'a>, WireError> {
     match r.u8()? {
-        0x01 => Ok(Request::Ping),
+        0x01 => Ok(RequestView::Ping),
         0x02 => {
             let personality = r.personality()?;
             let tenant = r.name()?;
             let limit = r.u64()?;
-            Ok(Request::Create { personality, tenant, limit })
+            Ok(RequestView::Create { personality, tenant, limit })
         }
         0x03 => {
             let personality = r.personality()?;
             let tenant = r.name()?;
             let value = r.u64()?;
-            Ok(Request::Produce { personality, tenant, value })
+            Ok(RequestView::Produce { personality, tenant, value })
         }
         0x04 => {
             let personality = r.personality()?;
             let tenant = r.name()?;
-            Ok(Request::Consume { personality, tenant })
+            Ok(RequestView::Consume { personality, tenant })
         }
         0x05 => {
             let tenant = r.name()?;
             let cost = r.u32()?;
-            Ok(Request::Acquire { tenant, cost })
+            Ok(RequestView::Acquire { tenant, cost })
         }
-        0x06 => Ok(Request::Reset { tenant: r.name()? }),
+        0x06 => Ok(RequestView::Reset { tenant: r.name()? }),
         0x07 => {
             let personality = r.personality()?;
             let tenant = r.name()?;
-            Ok(Request::Stats { personality, tenant })
+            Ok(RequestView::Stats { personality, tenant })
         }
-        0x08 => Ok(Request::Shutdown),
+        0x08 => Ok(RequestView::Shutdown),
         other => Err(WireError::BadTag(other)),
     }
 }
@@ -525,7 +607,7 @@ fn decode_one_response(r: &mut Reader<'_>) -> Result<Response, WireError> {
         }
         0x88 => {
             let code = ErrorCode::from_wire(r.u8()?)?;
-            let detail = r.name()?;
+            let detail = r.name()?.to_owned();
             Ok(Response::Error { code, detail })
         }
         0x89 => Ok(Response::ShuttingDown),
@@ -537,19 +619,20 @@ fn decode_one_response(r: &mut Reader<'_>) -> Result<Response, WireError> {
 // Batches (one frame body)
 // ---------------------------------------------------------------------------
 
-fn encode_batch<T>(items: &[T], encode: impl Fn(&mut Vec<u8>, &T)) -> Vec<u8> {
+/// Appends one frame body (count + messages) to `out`; batches longer
+/// than [`MAX_BATCH`] are truncated to it.
+fn encode_batch_into<T>(out: &mut Vec<u8>, items: &[T], encode: impl Fn(&mut Vec<u8>, &T)) {
     let count = items.len().min(MAX_BATCH) as u16;
-    let mut out = Vec::with_capacity(2 + items.len() * 16);
+    out.reserve(2 + items.len() * 16);
     out.extend_from_slice(&count.to_le_bytes());
     for item in items.iter().take(count as usize) {
-        encode(&mut out, item);
+        encode(out, item);
     }
-    out
 }
 
-fn decode_batch<T>(
-    body: &[u8],
-    decode: impl Fn(&mut Reader<'_>) -> Result<T, WireError>,
+fn decode_batch<'a, T>(
+    body: &'a [u8],
+    decode: impl Fn(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
     let mut r = Reader::new(body);
     let count = r.u16()?;
@@ -569,7 +652,26 @@ fn decode_batch<T>(
 /// Encodes a request batch as one frame body (count + messages). Batches
 /// longer than [`MAX_BATCH`] are truncated to it.
 pub fn encode_request_batch(reqs: &[Request]) -> Vec<u8> {
-    encode_batch(reqs, encode_request)
+    let mut out = Vec::new();
+    encode_request_batch_into(&mut out, reqs);
+    out
+}
+
+/// [`encode_request_batch`], appended to a caller's buffer.
+pub(crate) fn encode_request_batch_into(out: &mut Vec<u8>, reqs: &[Request]) {
+    encode_batch_into(out, reqs, encode_request);
+}
+
+/// Decodes one frame body into borrowed request views: the names are
+/// slices of `body`, so the batch costs one allocation, not one per
+/// request. This is the only request parser; [`decode_request_batch`]
+/// owns its result by copying these views.
+///
+/// # Errors
+///
+/// A typed [`WireError`] naming the first malformation; never panics.
+pub fn decode_request_views(body: &[u8]) -> Result<Vec<RequestView<'_>>, WireError> {
+    decode_batch(body, decode_one_request)
 }
 
 /// Decodes one frame body into its request batch.
@@ -578,12 +680,19 @@ pub fn encode_request_batch(reqs: &[Request]) -> Vec<u8> {
 ///
 /// A typed [`WireError`] naming the first malformation; never panics.
 pub fn decode_request_batch(body: &[u8]) -> Result<Vec<Request>, WireError> {
-    decode_batch(body, decode_one_request)
+    decode_request_views(body).map(|views| views.into_iter().map(RequestView::to_owned).collect())
 }
 
 /// Encodes a response batch as one frame body (count + messages).
 pub fn encode_response_batch(resps: &[Response]) -> Vec<u8> {
-    encode_batch(resps, encode_response)
+    let mut out = Vec::new();
+    encode_response_batch_into(&mut out, resps);
+    out
+}
+
+/// [`encode_response_batch`], appended to a caller's buffer.
+pub(crate) fn encode_response_batch_into(out: &mut Vec<u8>, resps: &[Response]) {
+    encode_batch_into(out, resps, encode_response);
 }
 
 /// Decodes one frame body into its response batch.

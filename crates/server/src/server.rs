@@ -7,7 +7,8 @@
 //! acceptor and every connection poll on their idle ticks — raised either
 //! by [`ServerHandle::request_shutdown`] or by a `Shutdown` request on
 //! any connection — so the whole fleet drains within one read-timeout of
-//! the flag flipping. [`ServerHandle::shutdown`] then joins every thread,
+//! the flag flipping. The acceptor joins each connection thread that has
+//! exited on its next pass; [`ServerHandle::shutdown`] joins the rest,
 //! flushes the telemetry export, and returns a per-tenant summary.
 
 use std::io;
@@ -126,6 +127,7 @@ fn accept_loop(
     let mut conns: ConnHandles = Vec::new();
     let mut next_conn_id: u64 = 1;
     while !stop.load(Ordering::Acquire) {
+        reap(&mut conns);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let ctx = ConnContext {
@@ -145,6 +147,19 @@ fn accept_loop(
         }
     }
     conns
+}
+
+/// Joins the connection threads that have exited, so a finished thread's
+/// stack is given back now rather than at shutdown.
+fn reap(conns: &mut ConnHandles) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 fn configure(stream: &TcpStream, read_timeout: Duration) -> io::Result<()> {
@@ -239,4 +254,50 @@ fn summarize(tenants: &TenantMap) -> Vec<TenantSummary> {
         .collect();
     out.sort_by(|a, b| (a.personality.name(), &a.name).cmp(&(b.personality.name(), &b.name)));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stack2d::sync::atomic::AtomicBool;
+
+    #[test]
+    fn finished_connection_threads_are_reaped_and_live_ones_kept() {
+        let hold = Arc::new(AtomicBool::new(true));
+        let mut conns: ConnHandles = (0..3).map(|_| thread::spawn(|| {})).collect();
+        let live = Arc::clone(&hold);
+        conns.push(thread::spawn(move || {
+            while live.load(Ordering::Acquire) {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }));
+        while conns[..3].iter().any(|c| !c.is_finished()) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap(&mut conns);
+        assert_eq!(conns.len(), 1, "the three exited threads were joined");
+        assert!(!conns[0].is_finished());
+        hold.store(false, Ordering::Release);
+        while !conns[0].is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap(&mut conns);
+        assert!(conns.is_empty());
+    }
+
+    #[test]
+    fn the_acceptor_keeps_no_handle_of_a_closed_connection() {
+        let handle = Server::spawn(ServerConfig::default()).expect("bind");
+        for _ in 0..5 {
+            let mut client = crate::Client::connect(handle.local_addr()).expect("connect");
+            client.ping().expect("ping");
+        }
+        // Each client has closed, so its thread sees EOF and exits, and
+        // the acceptor, passing every 2 ms, joins it on its next pass.
+        thread::sleep(Duration::from_millis(500));
+        let mut handle = handle;
+        handle.request_shutdown();
+        let conns = handle.acceptor.take().expect("acceptor").join().expect("join");
+        assert!(conns.is_empty(), "{} connection handles kept", conns.len());
+    }
 }

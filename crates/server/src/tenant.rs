@@ -13,8 +13,9 @@
 //! A tenant key is `(personality, name)` — namespaces are per personality,
 //! so a task-queue and a rate-limiter may share a name without clashing.
 //! Tenants live for the life of the server (there is no delete verb in
-//! protocol v1), which is what lets connection threads hold `Arc<Tenant>`s
-//! and per-frame [`OpsHandle`]s without any lifetime gymnastics.
+//! protocol v1), which is what lets each connection cache every tenant it
+//! has resolved for its whole life, and hold per-frame [`OpsHandle`]s,
+//! without any revocation machinery.
 //!
 //! When the server runs with telemetry, every tenant gets its own
 //! [`Registry`] scope named `<personality>/<name>`; the structure's op
@@ -205,7 +206,7 @@ impl std::fmt::Debug for Tenant {
 type Namespaces = [HashMap<String, Arc<Tenant>>; 3];
 
 /// The index of a personality's namespace in [`Namespaces`].
-fn slot(personality: Personality) -> usize {
+pub(crate) fn slot(personality: Personality) -> usize {
     match personality {
         Personality::TaskQueue => 0,
         Personality::RateLimiter => 1,

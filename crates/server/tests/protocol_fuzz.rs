@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 use relaxed2d_server::frame::{read_frame, write_frame};
 use relaxed2d_server::protocol::{
-    decode_request_batch, decode_response_batch, encode_request_batch, Personality, Request,
-    Response,
+    decode_request_batch, decode_request_views, decode_response_batch, encode_request_batch,
+    Personality, Request, RequestView, Response,
 };
 use relaxed2d_server::{Client, Server, ServerConfig};
 
@@ -40,6 +40,19 @@ fn arb_request() -> impl Strategy<Value = Request> {
     )
 }
 
+/// The tenant name a view carries, if any.
+fn view_name<'a>(view: &RequestView<'a>) -> Option<&'a str> {
+    match *view {
+        RequestView::Ping | RequestView::Shutdown => None,
+        RequestView::Create { tenant, .. }
+        | RequestView::Produce { tenant, .. }
+        | RequestView::Consume { tenant, .. }
+        | RequestView::Acquire { tenant, .. }
+        | RequestView::Reset { tenant }
+        | RequestView::Stats { tenant, .. } => Some(tenant),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -48,6 +61,36 @@ proptest! {
     fn arbitrary_bodies_never_panic_the_decoders(body in vec(any::<u8>(), 0..256)) {
         let _ = decode_request_batch(&body);
         let _ = decode_response_batch(&body);
+    }
+
+    /// The borrowed decoder the server runs and the owned one agree on
+    /// every input: the same typed error, or the same requests once the
+    /// views are owned. Half the bodies start from a valid batch so the
+    /// agreement is checked on parses too, not only on rejections.
+    #[test]
+    fn borrowed_and_owned_decoders_agree(
+        junk in vec(any::<u8>(), 0..256),
+        reqs in vec(arb_request(), 1..8),
+        pos_seed in any::<u64>(),
+        xor in any::<u8>(),
+    ) {
+        let mut valid = encode_request_batch(&reqs);
+        let pos = (pos_seed as usize) % valid.len();
+        valid[pos] ^= xor;
+        for body in [&junk, &valid] {
+            let views = decode_request_views(body);
+            if let Ok(views) = &views {
+                for name in views.iter().filter_map(view_name) {
+                    prop_assert!(body.as_ptr_range().contains(&name.as_ptr()), "a borrowed name");
+                }
+            }
+            let owned = views.map(|v| v.into_iter().map(RequestView::to_owned).collect::<Vec<_>>());
+            if let Ok(reqs) = &owned {
+                // Decoding is exact: what parsed re-encodes to the same bytes.
+                prop_assert_eq!(&encode_request_batch(reqs), body);
+            }
+            prop_assert_eq!(owned, decode_request_batch(body));
+        }
     }
 
     /// Framing is total: arbitrary streams produce an event or a typed

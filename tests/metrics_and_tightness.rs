@@ -108,3 +108,76 @@ fn metrics_survive_trait_generic_use() {
     let m = stack.metrics();
     assert!(m.ops >= 201, "100 pushes + 100 pops + final empty pop: {m}");
 }
+
+#[test]
+fn metrics_stay_exact_across_handle_churn_and_reset() {
+    let stack: Stack2D<u64> = Stack2D::new(Params::new(4, 2, 1).unwrap());
+    let mut expected = 0u64;
+    let mut keep = stack.handle();
+    for round in 0..200u64 {
+        let mut h = stack.handle();
+        for v in 0..round % 7 {
+            h.push(v);
+        }
+        for _ in 0..round % 5 {
+            h.pop(); // an empty pop still counts as one op
+        }
+        keep.push(round);
+        expected += round % 7 + round % 5 + 1;
+        drop(h);
+        assert_eq!(stack.metrics().ops, expected, "round {round}");
+        if round == 120 {
+            stack.reset_metrics();
+            assert_eq!(stack.metrics().ops, 0);
+            expected = 0;
+        }
+    }
+    drop(keep);
+    assert_eq!(stack.metrics().ops, expected, "dropping the last handle moves no count");
+}
+
+#[test]
+fn handle_churn_during_retunes_keeps_ops_exact() {
+    const THREADS: u64 = 4;
+    const HANDLES: u64 = 300;
+    const PAIRS: u64 = 8;
+    let stack: Stack2D<u64> = Stack2D::builder()
+        .params(Params::new(2, 2, 1).unwrap())
+        .elastic_capacity(8)
+        .build()
+        .unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let stack = &stack;
+                s.spawn(move || {
+                    for i in 0..HANDLES {
+                        let mut h = stack.handle();
+                        for v in 0..PAIRS {
+                            h.push(t << 32 | i << 8 | v);
+                            h.pop();
+                        }
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            let mut width = 2;
+            loop {
+                width = if width == 8 { 2 } else { width + 2 };
+                stack.retune(Params::new(width, 2, 1).unwrap()).unwrap();
+                if done.load(std::sync::atomic::Ordering::Relaxed) {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        });
+        for w in workers {
+            w.join().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+    });
+    assert_eq!(stack.metrics().ops, THREADS * HANDLES * PAIRS * 2);
+    assert!(stack.metrics().retunes > 0);
+}

@@ -3,13 +3,17 @@
 //! One [`Client`] wraps one TCP connection; [`Client::call`] sends a
 //! pipelined request batch as a single frame and waits for the matching
 //! response frame, spinning briefly before it blocks (see
-//! [`crate::frame`]). A request frame is encoded, length prefix and all,
-//! into one buffer the client reuses, and replies are read through a
-//! buffer, so one `read` call usually takes a whole frame. The
-//! convenience verbs are one-request batches. Used by the harness load
-//! generator, the integration tests, and the example.
+//! [`crate::frame`]). The client reads and writes through the same
+//! socket handle, whose blocking mode only the frame wait switches: the
+//! socket stays non-blocking while replies come back within the spin,
+//! and a write it cannot take at once finishes in blocking mode. A
+//! request frame is encoded, length prefix and all, into one buffer the
+//! client reuses, and a reply is read straight into the wait's buffer,
+//! so one `read` call usually takes a whole frame. The convenience verbs
+//! are one-request batches. Used by the harness load generator, the
+//! integration tests, and the example.
 
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -64,8 +68,7 @@ impl From<io::Error> for ClientError {
 /// A blocking connection to a relaxed2d server.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    wait: FrameWait,
+    socket: FrameWait,
     /// The outgoing frame, rebuilt in place for every call.
     frame: Vec<u8>,
     max_frame_len: u32,
@@ -81,8 +84,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(stream),
-            wait: FrameWait::new(),
+            socket: FrameWait::new(stream),
             frame: Vec::new(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         })
@@ -115,11 +117,9 @@ impl Client {
     /// Any [`ClientError`]; the connection should be considered dead after
     /// an error.
     pub fn call(&mut self, batch: &[Request]) -> Result<Vec<Response>, ClientError> {
-        send_frame(self.reader.get_mut(), &mut self.frame, |out| {
-            encode_request_batch_into(out, batch)
-        })?;
+        send_frame(&mut self.socket, &mut self.frame, |out| encode_request_batch_into(out, batch))?;
         let body = loop {
-            match self.wait.read(&mut self.reader, self.max_frame_len) {
+            match self.socket.read(self.max_frame_len) {
                 Ok(FrameEvent::Frame(body)) => break body,
                 Ok(FrameEvent::Idle) => continue,
                 Ok(FrameEvent::Closed) => return Err(ClientError::ServerClosed),

@@ -3,17 +3,17 @@
 //! Each accepted socket gets one OS thread running [`serve_connection`].
 //! A frame is decoded whole into borrowed [`RequestView`]s before any of
 //! its requests runs, so a frame that does not decode runs none of them.
-//! The batch then executes in two passes. The first resolves every
-//! request through the connection's [`TenantCache`], producing either an
-//! immediate response or a pending structure op that names its tenant by
-//! cache index. The second drives the pending ops through per-tenant
-//! [`OpsHandle`]s that are created at most once per frame and seeded with
-//! the connection id — so a connection replays a deterministic
-//! locality/hop sequence on every tenant it touches, batch after batch.
-//! The reply is encoded, length prefix and all, into a buffer the
-//! connection reuses and goes out as one write (see [`send_frame`]), and
-//! the next request is awaited through a [`FrameWait`], which spins
-//! briefly before it blocks.
+//! The batch then executes in one pass, in request order: each request
+//! finds its tenant in the connection's [`TenantCache`] and runs, with
+//! adjacent same-tenant runs of one verb coalesced into one batched call.
+//! Structure ops go through per-tenant [`OpsHandle`]s that are created
+//! once per frame and seeded with the connection id — so a connection
+//! replays a deterministic locality/hop sequence on every tenant it
+//! touches, batch after batch. The reply is encoded, length prefix and
+//! all, into a buffer the connection reuses and goes out as one write
+//! (see [`send_frame`]). The connection reads and writes through one
+//! socket handle, owned by a [`FrameWait`], which spins briefly before it
+//! blocks and is the only code that switches the socket's blocking mode.
 //!
 //! Failure policy (exercised by `tests/protocol_fuzz.rs`): a frame that
 //! does not decode is answered with one typed `Malformed` error and the
@@ -22,8 +22,9 @@
 //! frame tears the connection down quietly. The server process never
 //! panics on any input byte sequence.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
 use stack2d::sync::atomic::{AtomicBool, Ordering};
@@ -46,22 +47,18 @@ pub(crate) struct ConnContext {
 
 /// Runs one connection to completion (EOF, error, or server shutdown).
 pub(crate) fn serve_connection(stream: TcpStream, ctx: ConnContext) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut wait = FrameWait::new();
+    let mut socket = FrameWait::new(stream);
     let mut conn = Connection::new(&ctx.tenants, ctx.conn_id);
     loop {
         if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        let next = match wait.read(&mut reader, ctx.max_frame_len) {
+        let next = match socket.read(ctx.max_frame_len) {
             Ok(FrameEvent::Idle) => continue,
             Ok(FrameEvent::Closed) => break,
-            Ok(FrameEvent::Frame(body)) => conn.serve_frame(&body, &mut writer),
+            Ok(FrameEvent::Frame(body)) => conn.serve_frame(&body, &mut socket),
             Err(FrameError::Oversized(len)) => {
-                conn.refuse(&mut writer, ErrorCode::FrameTooLarge, format!("len {len}"));
+                conn.refuse(&mut socket, ErrorCode::FrameTooLarge, format!("len {len}"));
                 break;
             }
             Err(FrameError::Truncated | FrameError::Io(_)) => break,
@@ -92,55 +89,46 @@ enum Next {
 /// connection, is found by the next lookup that names it.
 struct TenantCache<'m> {
     map: &'m TenantMap,
-    /// The resolved tenants; a pending op names one by its index here.
+    /// The resolved tenants; a frame's handle table is indexed like this.
     tenants: Vec<Arc<Tenant>>,
     /// Name to index, one table per personality like the map's own, so a
     /// lookup hashes a `&str` and allocates nothing.
     index: [HashMap<String, usize>; 3],
     /// The last hit: a run of requests naming one tenant skips the hash.
-    last: Option<usize>,
+    last: Cell<Option<usize>>,
 }
 
 impl<'m> TenantCache<'m> {
     fn new(map: &'m TenantMap) -> Self {
-        TenantCache { map, tenants: Vec::new(), index: Default::default(), last: None }
+        TenantCache { map, tenants: Vec::new(), index: Default::default(), last: Cell::new(None) }
     }
 
-    /// The cache index and tenant of `(personality, name)`, asking the map
-    /// only for a tenant this connection has not resolved before.
-    fn get(&mut self, personality: Personality, name: &str) -> Option<(usize, &Tenant)> {
-        let i = match self.last {
+    /// The cache index of `(personality, name)`, if this connection has
+    /// resolved it.
+    fn find(&self, personality: Personality, name: &str) -> Option<usize> {
+        let i = match self.last.get() {
             Some(i)
                 if self.tenants[i].personality() == personality
                     && self.tenants[i].name() == name =>
             {
                 i
             }
-            _ => {
-                let names = &mut self.index[slot(personality)];
-                match names.get(name) {
-                    Some(&i) => i,
-                    None => {
-                        let tenant = self.map.get(personality, name)?;
-                        self.tenants.push(tenant);
-                        names.insert(name.to_owned(), self.tenants.len() - 1);
-                        self.tenants.len() - 1
-                    }
-                }
-            }
+            _ => *self.index[slot(personality)].get(name)?,
         };
-        self.last = Some(i);
-        Some((i, &self.tenants[i]))
+        self.last.set(Some(i));
+        Some(i)
     }
-}
 
-/// A request after tenant resolution: either already answered, or a
-/// structure op pending handle execution on the tenant at a cache index.
-enum Slot {
-    Ready(Response),
-    Produce(usize, u64),
-    Consume(usize),
-    Acquire(usize, u32),
+    /// Asks the map for a tenant the cache does not hold and caches it;
+    /// `false` when the map has no such tenant.
+    fn resolve(&mut self, personality: Personality, name: &str) -> bool {
+        let Some(tenant) = self.map.get(personality, name) else {
+            return false;
+        };
+        self.tenants.push(tenant);
+        self.index[slot(personality)].insert(name.to_owned(), self.tenants.len() - 1);
+        true
+    }
 }
 
 fn unknown(personality: Personality, tenant: &str) -> Response {
@@ -151,24 +139,17 @@ fn unknown(personality: Personality, tenant: &str) -> Response {
 }
 
 /// One connection's state across its frames: the tenant cache, and the
-/// slot, response and frame buffers every frame reuses.
+/// response and frame buffers every frame reuses.
 struct Connection<'m> {
     cache: TenantCache<'m>,
     seed: u64,
-    slots: Vec<Slot>,
     resps: Vec<Response>,
     frame: Vec<u8>,
 }
 
 impl<'m> Connection<'m> {
     fn new(map: &'m TenantMap, seed: u64) -> Self {
-        Connection {
-            cache: TenantCache::new(map),
-            seed,
-            slots: Vec::new(),
-            resps: Vec::new(),
-            frame: Vec::new(),
-        }
+        Connection { cache: TenantCache::new(map), seed, resps: Vec::new(), frame: Vec::new() }
     }
 
     /// Decodes, executes and answers one frame body.
@@ -198,141 +179,160 @@ impl<'m> Connection<'m> {
         let _ = send_frame(w, &mut self.frame, |out| encode_response_batch_into(out, &err));
     }
 
-    /// Executes one decoded batch in order into `self.resps`, reusing one
-    /// seeded handle per tenant for the whole frame; `true` when the batch
-    /// asked for shutdown.
+    /// Executes one decoded batch in request order into `self.resps`;
+    /// `true` when the batch asked for shutdown.
     ///
-    /// Adjacent same-tenant runs of one verb are coalesced into a single
-    /// batched structure call (`produce_n` / `consume_n`), so a pipelined
-    /// client pays one engine search round per run instead of one per
-    /// request. Responses still line up one-to-one with requests: a
-    /// coalesced produce run answers `Done` per request, and a consume run
-    /// answers `Item` for each value the batch returned, then `Empty` for
-    /// the rest — exactly what request-at-a-time execution would have
-    /// produced, since handles are exclusive to this frame.
+    /// The batch runs through [`run_cached`] until a request names a
+    /// tenant the cache does not hold. That tenant is then asked of the
+    /// map (and cached), or, if it does not exist, the request is answered
+    /// `UnknownTenant`, and the run goes on from there. Once a connection
+    /// has resolved the tenants it uses, a frame runs in one call.
     fn execute(&mut self, reqs: &[RequestView<'_>]) -> bool {
         let mut shutdown = false;
-        self.slots.clear();
-        for &req in reqs {
-            let slot = resolve(&mut self.cache, req, &mut shutdown);
-            self.slots.push(slot);
-        }
         self.resps.clear();
-        run_slots(&self.cache.tenants, &self.slots, self.seed, &mut self.resps);
+        let mut at = 0;
+        while let Some((personality, name)) =
+            run_cached(&self.cache, reqs, &mut at, self.seed, &mut self.resps, &mut shutdown)
+        {
+            if !self.cache.resolve(personality, name) {
+                self.resps.push(unknown(personality, name));
+                at += 1;
+            }
+        }
         shutdown
     }
 }
 
-fn resolve(cache: &mut TenantCache<'_>, req: RequestView<'_>, shutdown: &mut bool) -> Slot {
-    match req {
-        RequestView::Ping => Slot::Ready(Response::Pong),
-        RequestView::Shutdown => {
-            *shutdown = true;
-            Slot::Ready(Response::ShuttingDown)
-        }
-        RequestView::Create { personality, tenant, limit } => {
-            match cache.map.get_or_create(personality, tenant, limit) {
-                Ok((_, fresh)) => Slot::Ready(Response::Created { fresh }),
-                Err(err) => Slot::Ready(err),
-            }
-        }
-        RequestView::Produce { personality, tenant, value } => match cache.get(personality, tenant)
-        {
-            Some((i, t)) if t.supports_ops() => Slot::Produce(i, value),
-            Some(_) => Slot::Ready(Response::Error {
-                code: ErrorCode::Unsupported,
-                detail: "use acquire on a rate-limiter".to_string(),
-            }),
-            None => Slot::Ready(unknown(personality, tenant)),
-        },
-        RequestView::Consume { personality, tenant } => match cache.get(personality, tenant) {
-            Some((i, t)) if t.supports_ops() => Slot::Consume(i),
-            Some(_) => Slot::Ready(Response::Error {
-                code: ErrorCode::Unsupported,
-                detail: "rate-limiters cannot consume".to_string(),
-            }),
-            None => Slot::Ready(unknown(personality, tenant)),
-        },
-        RequestView::Acquire { tenant, cost } => {
-            if cost > MAX_ACQUIRE_COST {
-                return Slot::Ready(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: format!("cost {cost} over ceiling {MAX_ACQUIRE_COST}"),
-                });
-            }
-            match cache.get(Personality::RateLimiter, tenant) {
-                Some((i, _)) => Slot::Acquire(i, cost),
-                None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
-            }
-        }
-        RequestView::Reset { tenant } => match cache.get(Personality::RateLimiter, tenant) {
-            Some((_, t)) if t.limiter_reset() => Slot::Ready(Response::Done),
-            Some(_) => Slot::Ready(Response::Error {
-                code: ErrorCode::Unsupported,
-                detail: "reset is rate-limiter only".to_string(),
-            }),
-            None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
-        },
-        RequestView::Stats { personality, tenant } => match cache.get(personality, tenant) {
-            Some((_, t)) => Slot::Ready(t.stats()),
-            None => Slot::Ready(unknown(personality, tenant)),
-        },
-    }
+fn unsupported(detail: &str) -> Response {
+    Response::Error { code: ErrorCode::Unsupported, detail: detail.to_string() }
 }
 
 /// A frame's handle table: at most one handle per cached tenant, filled
 /// on first use.
 type Handles<'t> = Vec<Option<Box<dyn OpsHandle<u64> + 't>>>;
 
-/// The second pass: runs the pending ops of `slots` on `tenants` (the
-/// cache's) and appends one response per slot to `out`.
-fn run_slots(tenants: &[Arc<Tenant>], slots: &[Slot], seed: u64, out: &mut Vec<Response>) {
+/// Runs `reqs[*at..]` in request order on tenants `cache` holds, appending
+/// one response per request to `out`, and returns `None` at the end of the
+/// batch. A request naming a tenant the cache does not hold stops the run
+/// with `*at` on that request, and its tenant is returned for the caller
+/// to resolve.
+///
+/// Structure ops reuse one handle per tenant, seeded with `seed`, for the
+/// whole call. Adjacent same-tenant runs of one verb are coalesced into a
+/// single batched structure call (`produce_n` / `consume_n`), so a
+/// pipelined client pays one engine search round per run instead of one
+/// per request. Responses still line up one-to-one with requests: a
+/// coalesced produce run answers `Done` per request, and a consume run
+/// answers `Item` for each value the batch returned, then `Empty` for the
+/// rest — exactly what request-at-a-time execution would have produced,
+/// since handles are exclusive to this call.
+fn run_cached<'r>(
+    cache: &TenantCache<'_>,
+    reqs: &[RequestView<'r>],
+    at: &mut usize,
+    seed: u64,
+    out: &mut Vec<Response>,
+    shutdown: &mut bool,
+) -> Option<(Personality, &'r str)> {
+    let tenants = &cache.tenants[..];
     let mut handles: Handles<'_> = Vec::new();
-    let mut i = 0;
-    while i < slots.len() {
-        let resp = match &slots[i] {
-            Slot::Ready(resp) => resp.clone(),
-            &Slot::Produce(t, _) => {
-                let n = 1 + slots[i + 1..]
-                    .iter()
-                    .take_while(|s| matches!(s, Slot::Produce(nt, _) if *nt == t))
-                    .count();
-                let mut values = Vec::with_capacity(n);
-                values.extend(slots[i..i + n].iter().filter_map(|s| match s {
-                    Slot::Produce(_, v) => Some(*v),
-                    _ => None,
-                }));
-                handle_for(&mut handles, tenants, t, seed).produce_n(values);
-                out.extend(std::iter::repeat_n(Response::Done, n));
-                i += n;
-                continue;
+    while let Some(&req) = reqs.get(*at) {
+        let mut ran = 1;
+        match req {
+            RequestView::Ping => out.push(Response::Pong),
+            RequestView::Shutdown => {
+                *shutdown = true;
+                out.push(Response::ShuttingDown);
             }
-            &Slot::Consume(t) => {
-                let n = 1 + slots[i + 1..]
-                    .iter()
-                    .take_while(|s| matches!(s, Slot::Consume(nt) if *nt == t))
-                    .count();
-                let got = handle_for(&mut handles, tenants, t, seed).consume_n(n);
-                let misses = n - got.len();
-                out.extend(got.into_iter().map(|value| Response::Item { value }));
-                out.extend(std::iter::repeat_n(Response::Empty, misses));
-                i += n;
-                continue;
+            RequestView::Create { personality, tenant, limit } => {
+                out.push(match cache.map.get_or_create(personality, tenant, limit) {
+                    Ok((_, fresh)) => Response::Created { fresh },
+                    Err(err) => err,
+                });
             }
-            &Slot::Acquire(t, cost) => {
+            RequestView::Produce { personality, tenant, .. } => {
+                let Some(t) = cache.find(personality, tenant) else {
+                    return Some((personality, tenant));
+                };
+                if tenants[t].supports_ops() {
+                    let values: Vec<u64> = reqs[*at..]
+                        .iter()
+                        .map_while(|r| match *r {
+                            RequestView::Produce { personality: p, tenant: n, value }
+                                if p == personality && n == tenant =>
+                            {
+                                Some(value)
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    ran = values.len();
+                    handle_for(&mut handles, tenants, t, seed).produce_n(values);
+                    out.extend(std::iter::repeat_n(Response::Done, ran));
+                } else {
+                    out.push(unsupported("use acquire on a rate-limiter"));
+                }
+            }
+            RequestView::Consume { personality, tenant } => {
+                let Some(t) = cache.find(personality, tenant) else {
+                    return Some((personality, tenant));
+                };
+                if tenants[t].supports_ops() {
+                    ran = reqs[*at..]
+                        .iter()
+                        .take_while(|r| {
+                            matches!(**r, RequestView::Consume { personality: p, tenant: n }
+                                if p == personality && n == tenant)
+                        })
+                        .count();
+                    let got = handle_for(&mut handles, tenants, t, seed).consume_n(ran);
+                    let misses = ran - got.len();
+                    out.extend(got.into_iter().map(|value| Response::Item { value }));
+                    out.extend(std::iter::repeat_n(Response::Empty, misses));
+                } else {
+                    out.push(unsupported("rate-limiters cannot consume"));
+                }
+            }
+            RequestView::Acquire { cost, .. } if cost > MAX_ACQUIRE_COST => {
+                out.push(Response::Error {
+                    code: ErrorCode::BadRequest,
+                    detail: format!("cost {cost} over ceiling {MAX_ACQUIRE_COST}"),
+                });
+            }
+            RequestView::Acquire { tenant, cost } => {
+                let Some(t) = cache.find(Personality::RateLimiter, tenant) else {
+                    return Some((Personality::RateLimiter, tenant));
+                };
                 let h = handle_for(&mut handles, tenants, t, seed);
                 for _ in 0..cost {
                     h.produce(1);
                 }
-                tenants[t].limiter_decision().unwrap_or_else(|| Response::Error {
-                    code: ErrorCode::Unsupported,
-                    detail: "not a rate-limiter".to_string(),
-                })
+                out.push(
+                    tenants[t]
+                        .limiter_decision()
+                        .unwrap_or_else(|| unsupported("not a rate-limiter")),
+                );
             }
-        };
-        out.push(resp);
-        i += 1;
+            RequestView::Reset { tenant } => {
+                let Some(t) = cache.find(Personality::RateLimiter, tenant) else {
+                    return Some((Personality::RateLimiter, tenant));
+                };
+                out.push(if tenants[t].limiter_reset() {
+                    Response::Done
+                } else {
+                    unsupported("reset is rate-limiter only")
+                });
+            }
+            RequestView::Stats { personality, tenant } => {
+                let Some(t) = cache.find(personality, tenant) else {
+                    return Some((personality, tenant));
+                };
+                out.push(tenants[t].stats());
+            }
+        }
+        *at += ran;
     }
+    None
 }
 
 fn handle_for<'h, 't>(
@@ -609,6 +609,38 @@ mod tests {
         assert_eq!(code(&resps[0]), Some(ErrorCode::UnknownTenant));
         assert_eq!(resps[1], Response::Created { fresh: true });
         assert_eq!(resps[2], Response::Done);
+    }
+
+    #[test]
+    fn a_reset_between_acquires_runs_in_request_order() {
+        let map = map();
+        map.get_or_create(Personality::RateLimiter, "api", 100).unwrap();
+        let acquire = |cost: u32| Request::Acquire { tenant: "api".into(), cost };
+        let resps = run(&map, &[acquire(3), Request::Reset { tenant: "api".into() }, acquire(1)]);
+        assert_eq!(
+            resps,
+            vec![
+                Response::Decision { allowed: true, observed: 3, limit: 100 },
+                Response::Done,
+                Response::Decision { allowed: true, observed: 1, limit: 100 },
+            ]
+        );
+    }
+
+    #[test]
+    fn stats_after_a_produce_in_the_same_frame_counts_it() {
+        let map = map();
+        let q = Personality::TaskQueue;
+        map.get_or_create(q, "t", 0).unwrap();
+        let resps = run(
+            &map,
+            &[
+                Request::Produce { personality: q, tenant: "t".into(), value: 1 },
+                Request::Stats { personality: q, tenant: "t".into() },
+            ],
+        );
+        assert_eq!(resps[0], Response::Done);
+        assert!(matches!(resps[1], Response::Stats { ops: 1, .. }), "{:?}", resps[1]);
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! The reader never allocates more than the declared ceiling, so a hostile
 //! 4 GiB length prefix costs one `u32` comparison, not an allocation.
 //!
-//! The client and the connection loop read sockets through a
-//! spin-then-block wait: it polls the socket without blocking for up to
-//! 50 µs, then falls through to [`read_frame`] in blocking mode,
-//! so a reply already on its way is picked up without putting the reader
-//! to sleep and waking it again.
+//! The client and the connection loop read and write their socket
+//! through one spin-then-block wait. It polls with non-blocking reads
+//! straight into its buffer for up to 50 µs, so a frame already on its
+//! way is picked up without putting the reader to sleep and waking it
+//! again; a frame that arrived whole is returned from the buffer, and the
+//! socket stays non-blocking for the next one. Anything else falls
+//! through to [`read_frame`] in blocking mode. The wait tracks the
+//! socket's mode and switches it only when the mode must change.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
@@ -238,44 +241,39 @@ impl Drop for PollSlot<'_> {
     }
 }
 
-/// Polls `stream` without blocking until it is readable (bytes, EOF or an
-/// error `read` will report) or `budget` runs out, yielding the CPU
-/// between peeks, then puts it back in blocking mode.
-fn poll(stream: &TcpStream, budget: Duration) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    let start = Instant::now();
-    loop {
-        match stream.peek(&mut [0u8; 1]) {
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) =>
-            {
-                if start.elapsed() >= budget {
-                    break;
-                }
-                thread::yield_now();
-            }
-            _ => break,
-        }
-    }
-    stream.set_nonblocking(false)
-}
-
-/// The spin-then-block frame reader of one socket.
+/// One socket's framed reads and writes, and the only code that switches
+/// the socket's blocking mode: it tracks the mode and makes a switch only
+/// when the mode actually changes.
 ///
-/// Each read polls the socket for up to [`SPIN_BUDGET`] before it blocks
-/// in [`read_frame`], so read timeouts and the [`FrameEvent`] /
-/// [`FrameError`] outcomes are those of `read_frame`. It polls only when
+/// A read first polls, when the guards allow: the socket goes (or stays)
+/// non-blocking, and non-blocking `read`s fill the buffer, with a yield
+/// between them, until bytes, EOF or an error arrive or [`SPIN_BUDGET`]
+/// runs out. A frame the buffer then holds whole is returned from it
+/// with no further syscall, and the socket stays non-blocking for the
+/// next frame. Everything else (the budget ran out, EOF, a partial or
+/// oversized frame, a skipped poll) goes to [`read_frame`] in blocking
+/// mode, so read timeouts and the [`FrameEvent`] / [`FrameError`]
+/// outcomes are those of `read_frame`. The guards: a read polls only when
 /// the previous read on this socket ended within the budget (a peer that
 /// answered slowly last time will likely do so again), when the buffer is
 /// empty, and when one of the process-wide poll slots is free.
+///
+/// Writes go through the same socket (`FrameWait` is a [`Write`]); one
+/// that a non-blocking socket cannot take whole is finished in blocking
+/// mode.
 #[derive(Debug)]
 pub(crate) struct FrameWait {
+    reader: BufReader<TcpStream>,
+    /// The socket's mode as last set here.
+    nonblocking: bool,
     poll_next: bool,
 }
 
 impl FrameWait {
-    pub(crate) fn new() -> Self {
-        FrameWait { poll_next: true }
+    /// Takes over `stream`, which must be in blocking mode, as a connected
+    /// or a configured accepted socket is.
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        FrameWait { reader: BufReader::new(stream), nonblocking: false, poll_next: true }
     }
 
     /// Reads one frame, spinning first when the guards allow.
@@ -283,36 +281,101 @@ impl FrameWait {
     /// # Errors
     ///
     /// As [`read_frame`]; also [`FrameError::Io`] when the socket's
-    /// blocking mode cannot be switched.
-    pub(crate) fn read(
-        &mut self,
-        reader: &mut BufReader<TcpStream>,
-        max_len: u32,
-    ) -> Result<FrameEvent, FrameError> {
-        self.read_with(reader, max_len, SPIN_BUDGET, &POLLERS)
+    /// blocking mode cannot be switched or the poll's `read` fails.
+    pub(crate) fn read(&mut self, max_len: u32) -> Result<FrameEvent, FrameError> {
+        self.read_with(max_len, SPIN_BUDGET, &POLLERS)
     }
 
     fn read_with(
         &mut self,
-        reader: &mut BufReader<TcpStream>,
         max_len: u32,
         budget: Duration,
         slots: &PollSlots,
     ) -> Result<FrameEvent, FrameError> {
         let start = Instant::now();
-        if self.poll_next && reader.buffer().is_empty() {
+        if self.poll_next && self.reader.buffer().is_empty() {
             if let Some(_slot) = slots.take() {
-                poll(reader.get_ref(), budget).map_err(FrameError::Io)?;
+                self.poll(budget)?;
             }
         }
-        let event = read_frame(reader, max_len);
+        let event = match self.buffered(max_len) {
+            Some(body) => Ok(FrameEvent::Frame(body)),
+            None => {
+                self.set_nonblocking(false).map_err(FrameError::Io)?;
+                read_frame(&mut self.reader, max_len)
+            }
+        };
         self.record(start.elapsed(), budget);
         event
+    }
+
+    /// Fills the empty buffer with non-blocking reads, yielding the CPU
+    /// between them, until bytes or EOF arrive or `budget` runs out. A
+    /// read error is returned here, since the `read` that reports it also
+    /// clears it.
+    fn poll(&mut self, budget: Duration) -> Result<(), FrameError> {
+        self.set_nonblocking(true).map_err(FrameError::Io)?;
+        let start = Instant::now();
+        loop {
+            match self.reader.fill_buf() {
+                Ok(_) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if start.elapsed() >= budget {
+                        return Ok(());
+                    }
+                    thread::yield_now();
+                }
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
+
+    /// The body of a frame the buffer holds whole (prefix, then the
+    /// declared body within `max_len`), taken out of the buffer.
+    fn buffered(&mut self, max_len: u32) -> Option<Vec<u8>> {
+        let buf = self.reader.buffer();
+        let len = u32::from_le_bytes(*buf.first_chunk::<4>()?);
+        if len > max_len || buf.len() - 4 < len as usize {
+            return None;
+        }
+        let end = 4 + len as usize;
+        let body = buf[4..end].to_vec();
+        self.reader.consume(end);
+        Some(body)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        if self.nonblocking != nonblocking {
+            self.reader.get_ref().set_nonblocking(nonblocking)?;
+            self.nonblocking = nonblocking;
+        }
+        Ok(())
     }
 
     /// Polls next time only if this wait ended within the budget.
     fn record(&mut self, waited: Duration, budget: Duration) {
         self.poll_next = waited <= budget;
+    }
+}
+
+impl Write for FrameWait {
+    /// Writes to the socket; a write a non-blocking socket cannot take
+    /// (`WouldBlock`: its send buffer is full) switches it to blocking
+    /// mode and is made again, so a slow reader never fails a frame.
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        loop {
+            match self.reader.get_mut().write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && self.nonblocking => {
+                    self.set_nonblocking(false)?;
+                }
+                done => return done,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.reader.get_mut().flush()
     }
 }
 
@@ -418,34 +481,37 @@ mod tests {
         assert!(matches!(read_frame(&mut torn, 16), Err(FrameError::Truncated)));
     }
 
-    /// A connected loopback pair: the reading end (with `timeout`) and
-    /// its peer.
-    fn socket_pair(timeout: Duration) -> (BufReader<TcpStream>, TcpStream) {
+    /// A connected loopback pair: the reading end (with `timeout`) in a
+    /// [`FrameWait`], and its peer.
+    fn socket_pair(timeout: Duration) -> (FrameWait, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (read_end, _) = listener.accept().unwrap();
         read_end.set_read_timeout(Some(timeout)).unwrap();
-        (BufReader::new(read_end), peer)
+        (FrameWait::new(read_end), peer)
     }
 
     fn busy(slots: &PollSlots) -> usize {
         slots.busy.load(Ordering::Relaxed)
     }
 
+    fn body_of(event: Result<FrameEvent, FrameError>) -> Vec<u8> {
+        match event {
+            Ok(FrameEvent::Frame(body)) => body,
+            other => panic!("expected frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn a_queued_frame_is_read_without_blocking() {
-        let (mut reader, mut peer) = socket_pair(Duration::from_secs(10));
+        let (mut wait, mut peer) = socket_pair(Duration::from_secs(10));
         write_frame(&mut peer, b"queued").unwrap();
         let slots = PollSlots::new(1);
-        let mut wait = FrameWait::new();
         // A blocking read that found nothing would sit out the 10 s
         // timeout; the budget is long so a slow host still counts as short.
         let budget = Duration::from_secs(1);
         let start = Instant::now();
-        match wait.read_with(&mut reader, 16, budget, &slots).unwrap() {
-            FrameEvent::Frame(body) => assert_eq!(body, b"queued"),
-            other => panic!("expected frame, got {other:?}"),
-        }
+        assert_eq!(body_of(wait.read_with(16, budget, &slots)), b"queued");
         assert!(start.elapsed() < budget);
         assert!(wait.poll_next, "a wait within the budget keeps polling");
         assert_eq!(busy(&slots), 0);
@@ -454,11 +520,10 @@ mod tests {
     #[test]
     fn an_idle_socket_blocks_until_its_read_timeout_after_the_poll() {
         let timeout = Duration::from_millis(30);
-        let (mut reader, _peer) = socket_pair(timeout);
+        let (mut wait, _peer) = socket_pair(timeout);
         let slots = PollSlots::new(1);
-        let mut wait = FrameWait::new();
         let start = Instant::now();
-        let event = wait.read_with(&mut reader, 16, SPIN_BUDGET, &slots).unwrap();
+        let event = wait.read_with(16, SPIN_BUDGET, &slots).unwrap();
         assert!(matches!(event, FrameEvent::Idle), "{event:?}");
         // Left non-blocking, the read would have returned at once.
         assert!(start.elapsed() >= timeout - Duration::from_millis(5), "{:?}", start.elapsed());
@@ -468,7 +533,7 @@ mod tests {
 
     #[test]
     fn a_peer_closing_during_the_poll_is_a_clean_close() {
-        let (mut reader, peer) = socket_pair(Duration::from_secs(10));
+        let (mut wait, peer) = socket_pair(Duration::from_secs(10));
         let slots = PollSlots::new(1);
         // The close lands during the poll or before it starts; either way
         // the poll must end at the close, not at its budget.
@@ -478,7 +543,7 @@ mod tests {
         });
         let start = Instant::now();
         let budget = Duration::from_secs(5);
-        let event = FrameWait::new().read_with(&mut reader, 16, budget, &slots).unwrap();
+        let event = wait.read_with(16, budget, &slots).unwrap();
         assert!(matches!(event, FrameEvent::Closed), "{event:?}");
         assert!(start.elapsed() < budget, "the poll saw the close");
         assert_eq!(busy(&slots), 0);
@@ -487,10 +552,10 @@ mod tests {
 
     #[test]
     fn a_peer_stalling_mid_frame_is_truncated() {
-        let (mut reader, mut peer) = socket_pair(Duration::from_millis(1));
+        let (mut wait, mut peer) = socket_pair(Duration::from_millis(1));
         peer.write_all(&[8, 0]).unwrap();
         let slots = PollSlots::new(1);
-        let got = FrameWait::new().read_with(&mut reader, 16, SPIN_BUDGET, &slots);
+        let got = wait.read_with(16, SPIN_BUDGET, &slots);
         assert!(matches!(got, Err(FrameError::Truncated)), "{got:?}");
         assert_eq!(busy(&slots), 0);
         drop(peer);
@@ -498,8 +563,8 @@ mod tests {
 
     #[test]
     fn a_long_wait_disables_the_next_poll_and_a_short_one_reenables_it() {
+        let (mut wait, mut peer) = socket_pair(Duration::from_millis(20));
         let budget = SPIN_BUDGET;
-        let mut wait = FrameWait::new();
         assert!(wait.poll_next);
         wait.record(budget * 2, budget);
         assert!(!wait.poll_next);
@@ -508,14 +573,106 @@ mod tests {
 
         // Over a socket: an idle read disables the poll; the next read
         // blocks without one, finds its frame queued and re-enables it.
-        let (mut reader, mut peer) = socket_pair(Duration::from_millis(20));
         let slots = PollSlots::new(1);
         let budget = Duration::from_millis(10);
-        let idle = wait.read_with(&mut reader, 16, budget, &slots).unwrap();
+        let idle = wait.read_with(16, budget, &slots).unwrap();
         assert!(matches!(idle, FrameEvent::Idle) && !wait.poll_next);
         write_frame(&mut peer, b"x").unwrap();
-        let event = wait.read_with(&mut reader, 16, budget, &slots).unwrap();
+        let event = wait.read_with(16, budget, &slots).unwrap();
         assert!(matches!(event, FrameEvent::Frame(_)) && wait.poll_next, "{event:?}");
+    }
+
+    /// Whether `stream` is non-blocking, by the time one `peek` takes:
+    /// with nothing queued, a blocking peek sits out the read timeout.
+    fn os_nonblocking(stream: &TcpStream) -> bool {
+        let timeout = Duration::from_millis(200);
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        let start = Instant::now();
+        let err = stream.peek(&mut [0u8; 1]).unwrap_err();
+        assert!(is_timeout(&err), "{err:?}");
+        start.elapsed() < timeout / 2
+    }
+
+    #[test]
+    fn a_polled_frame_leaves_the_socket_non_blocking_and_an_idle_read_blocking() {
+        let (mut wait, mut peer) = socket_pair(Duration::from_millis(20));
+        let slots = PollSlots::new(1);
+        write_frame(&mut peer, b"polled").unwrap();
+        assert_eq!(body_of(wait.read_with(16, Duration::from_secs(1), &slots)), b"polled");
+        assert!(wait.nonblocking, "the next frame is polled without a mode switch");
+        assert!(os_nonblocking(wait.reader.get_ref()));
+
+        wait.reader.get_ref().set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let idle = wait.read_with(16, SPIN_BUDGET, &slots).unwrap();
+        assert!(matches!(idle, FrameEvent::Idle), "{idle:?}");
+        assert!(!wait.nonblocking, "an idle read ends in the blocking read");
+        assert!(!os_nonblocking(wait.reader.get_ref()));
+    }
+
+    #[test]
+    fn a_frame_half_read_by_the_poll_is_finished_by_the_blocking_read() {
+        let (mut wait, mut peer) = socket_pair(Duration::from_secs(10));
+        let frame = framed(&[7u8; 64]);
+        let (head, tail) = frame.split_at(4 + 32);
+        peer.write_all(head).unwrap();
+        let tail = tail.to_vec();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            peer.write_all(&tail).unwrap();
+            peer
+        });
+        // The poll's budget outlasts the head's arrival, so the poll reads
+        // the head; the tail comes after the poll has ended.
+        let body = body_of(wait.read_with(64, Duration::from_millis(20), &PollSlots::new(1)));
+        assert_eq!(body, [7u8; 64], "completed, not truncated");
+        assert!(!wait.nonblocking);
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_reads_whole() {
+        let (mut wait, mut peer) = socket_pair(Duration::from_secs(10));
+        let body: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+        assert!(body.len() > wait.reader.capacity());
+        let sent = body.clone();
+        let sender = std::thread::spawn(move || write_frame(&mut peer, &sent).map(|()| peer));
+        let got = body_of(wait.read_with(DEFAULT_MAX_FRAME_LEN, SPIN_BUDGET, &PollSlots::new(1)));
+        assert!(got == body, "a {} byte body read whole", body.len());
+        sender.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_write_that_would_block_finishes_in_blocking_mode() {
+        let (mut wait, mut peer) = socket_pair(Duration::from_secs(10));
+        // A polled read leaves the socket non-blocking.
+        write_frame(&mut peer, b"go").unwrap();
+        assert_eq!(body_of(wait.read_with(16, Duration::from_secs(1), &PollSlots::new(1))), b"go");
+        assert!(wait.nonblocking);
+        // The peer reads nothing for a while, so the frames fill the
+        // socket buffers until a write hits `WouldBlock`.
+        const LEN: usize = 256 * 1024;
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let mut got = Vec::new();
+            while let FrameEvent::Frame(body) =
+                read_frame(&mut peer, DEFAULT_MAX_FRAME_LEN).unwrap()
+            {
+                got.push(body);
+            }
+            got
+        });
+        let mut sent = 0u8;
+        while sent < 4 || (wait.nonblocking && sent < 64) {
+            write_frame(&mut wait, &vec![sent; LEN]).unwrap();
+            sent += 1;
+        }
+        assert!(!wait.nonblocking, "a full send buffer switched the writer to blocking");
+        wait.reader.get_ref().shutdown(Shutdown::Write).unwrap();
+        let got = reader.join().unwrap();
+        assert_eq!(got.len(), usize::from(sent));
+        for (i, body) in (0..sent).zip(&got) {
+            assert!(body.len() == LEN && body.iter().all(|&b| b == i), "frame {i} intact");
+        }
     }
 
     #[test]

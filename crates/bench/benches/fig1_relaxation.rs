@@ -1,9 +1,12 @@
 //! Figure 1 bench: throughput of the k-bounded algorithms as the
 //! relaxation budget k grows.
 //!
-//! Criterion prints ops/s per `algo/k` pair; the series should reproduce
-//! the paper's shape — 2D-stack on top at every k and throughput rising
-//! with k. Error-distance (the figure's second axis) is measured by the
+//! Criterion prints ops/s per `algo/k` pair: each k-bounded algorithm is
+//! built for the same budget k (`BuildSpec::with_k`) and runs a symmetric
+//! push/pop mix over a prefilled stack. No committed snapshot shows the
+//! paper's "2D-stack on top at every k"; whether equal budgets mean equal
+//! relaxation, and what the ranking then is, is ROADMAP direction 5's
+//! verdict table. Error-distance (the figure's second axis) is measured by the
 //! harness binary (`cargo run -p stack2d-harness --bin fig1`), not here:
 //! Criterion is a timing harness.
 

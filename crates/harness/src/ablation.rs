@@ -21,11 +21,12 @@ use serde::{Deserialize, Serialize};
 
 use stack2d::sync::Arc;
 use stack2d::{Counter2D, Params, Queue2D, Recorder, Stack2D};
+use stack2d_quality::MeasuredQueue;
 use stack2d_workload::OpMix;
 
 use crate::algorithms::{AblationVariant, AnyRelaxed};
 use crate::experiment::{measure_relaxed, measure_stack, DataPoint, Settings};
-use crate::quality_run::{run_queue_overtakes, QualityConfig};
+use crate::quality_run::{run_quality, QualityConfig};
 use crate::report::{fmt_ops, Table};
 
 /// Parameters of the ablation runs.
@@ -73,7 +74,7 @@ pub fn run_mechanisms(spec: &AblationSpec, settings: &Settings) -> Vec<DataPoint
 /// Measures every [`AblationVariant`] on the **2D-Queue** under `spec`:
 /// throughput through the generic runner plus dequeue overtake quality
 /// (mean/max FIFO overtake distance) through the
-/// [`FifoOracle`](stack2d_quality::segmented_queue::FifoOracle).
+/// [`FifoOracle`](stack2d_quality::FifoOracle).
 pub fn run_queue_mechanisms(spec: &AblationSpec, settings: &Settings) -> Vec<DataPoint> {
     let params = spec.params();
     AblationVariant::ALL
@@ -87,8 +88,8 @@ pub fn run_queue_mechanisms(spec: &AblationSpec, settings: &Settings) -> Vec<Dat
                 OpMix::symmetric(),
             );
             let queue = Queue2D::with_config(v.config(params));
-            point.quality = run_queue_overtakes(
-                &queue,
+            point.quality = run_quality(
+                &MeasuredQueue::new(&queue),
                 &QualityConfig {
                     threads: spec.threads,
                     ops_per_thread: settings.quality_ops / spec.threads.max(1),

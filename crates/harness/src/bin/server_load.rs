@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! server_load [--addr HOST:PORT] [--conns N] [--tenants N] [--depth N]
-//!             [--frames N] [--zipf S] [--rate F/S] [--seed N] [--batch N]
-//!             [--shutdown]
+//!             [--frames N (default 2000)] [--zipf S] [--rate F/S]
+//!             [--seed N] [--batch N] [--shutdown]
 //! ```
 //!
 //! Without `--addr` an in-process server is spawned on an ephemeral port
@@ -22,7 +22,8 @@ use stack2d_harness::write_csv;
 fn usage() -> ! {
     eprintln!(
         "usage: server_load [--addr HOST:PORT] [--conns N] [--tenants N] [--depth N] \
-         [--frames N] [--zipf S] [--rate F/S] [--seed N] [--batch N] [--shutdown]"
+         [--frames N (default 2000)] [--zipf S] [--rate F/S] [--seed N] [--batch N] \
+         [--shutdown]"
     );
     std::process::exit(2);
 }

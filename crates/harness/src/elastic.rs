@@ -17,11 +17,10 @@
 //! segment.
 //!
 //! The **queue scenario** ([`run_queue`]) puts the same controller on a
-//! [`Queue2D`] through the [`ElasticTarget`](stack2d::ElasticTarget)
-//! trait, under a budget generous enough
-//! ([`ElasticSpec::queue_max_k`]) that width saturates at capacity first
-//! and sustained pressure then walks depth/shift — the CSV records the
-//! width-then-vertical trajectory plus per-generation dequeue
+//! [`Queue2D`] through the [`ElasticTarget`] trait, under a budget
+//! generous enough ([`ElasticSpec::queue_max_k`]) that width saturates at
+//! capacity first and sustained pressure then walks depth/shift — the CSV
+//! records the width-then-vertical trajectory plus per-generation dequeue
 //! out-of-order quality.
 
 use std::sync::Barrier;
@@ -31,10 +30,10 @@ use serde::{Deserialize, Serialize};
 
 use stack2d::rng::HopRng;
 use stack2d::sync::Arc;
-use stack2d::{OpsHandle, Params, Queue2D, Recorder, RelaxedOps, Stack2D};
-use stack2d_adaptive::{AdaptiveBuilder, AimdController, RetuneEvent, RetuneKind};
-use stack2d_quality::segmented::{bounds_map, check_segments, MeasuredElastic, SegmentReport};
-use stack2d_quality::segmented_queue::MeasuredElasticQueue;
+use stack2d::{ElasticTarget, OpsHandle, Params, Queue2D, Recorder, RelaxedOps, Stack2D};
+use stack2d_adaptive::{AdaptiveBuilder, AimdController, Managed, RetuneEvent, RetuneKind};
+use stack2d_quality::segmented::{bounds_map, check_segments, SegmentReport};
+use stack2d_quality::{Fifo, Label, Lifo, Measured, Order};
 use stack2d_workload::phases::Workload;
 use stack2d_workload::OpMix;
 
@@ -240,11 +239,10 @@ fn warmup<S: RelaxedOps<u64>>(stack: &S, spec: &ElasticSpec) {
     while h.consume().is_some() {}
 }
 
-fn phase_points<S: RelaxedOps<u64>>(
+fn phase_points<S: RelaxedOps<u64> + ElasticTarget>(
     config: &str,
     stack: &S,
     spec: &ElasticSpec,
-    window_of: impl Fn() -> (usize, usize, usize, u64),
 ) -> Vec<PhasePoint> {
     warmup(stack, spec);
     let workload = spec.workload();
@@ -252,7 +250,7 @@ fn phase_points<S: RelaxedOps<u64>>(
     let config_name = config.to_string();
     let points_ref = &mut points;
     let durations = run_phased_timed(stack, spec.threads, &workload, 0xE1A5, |phase, elapsed| {
-        let (width, pop_width, k_bound, generation) = window_of();
+        let w = stack.window();
         let per_phase_ops = (spec.threads * workload.phases()[phase].ops) as u64;
         points_ref.push(PhasePoint {
             config: config_name.clone(),
@@ -260,53 +258,50 @@ fn phase_points<S: RelaxedOps<u64>>(
             mix: workload.phases()[phase].mix,
             ops: per_phase_ops,
             throughput: per_phase_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-            width,
-            pop_width,
-            k_bound,
-            generation,
+            width: w.width(),
+            pop_width: w.pop_width(),
+            k_bound: w.k_bound(),
+            generation: w.generation(),
         });
     });
     debug_assert_eq!(durations.len(), points.len());
     points
 }
 
-/// Runs the oracle-coupled elastic quality pass: `threads` measured
-/// workers churn the bursty mixes while the controller retunes, then every
-/// pop is checked against the instantaneous bound of its generation
-/// segment.
+/// The managed elastic stack of the timed and quality runs: the narrowest
+/// window, grown online by the AIMD controller under `spec.max_k`. The
+/// guard owns the controller thread.
+fn elastic_stack(
+    spec: &ElasticSpec,
+    recorder: Option<&Arc<dyn Recorder>>,
+) -> Managed<Stack2D<u64>> {
+    let mut builder =
+        Stack2D::builder().params(spec.elastic_start()).elastic_capacity(spec.capacity);
+    if let Some(r) = recorder {
+        builder = builder.recorder(Arc::clone(r));
+    }
+    builder
+        .adaptive(AimdController::new(spec.max_k), Duration::from_micros(spec.cadence_us))
+        .expect("elastic_start params are valid")
+}
+
+/// The oracle-coupled elastic quality pass over `target`: measured workers
+/// (handles seeded from `seed`) churn the bursty mixes while the controller
+/// retunes, a drain measures every remaining label, and every removal is
+/// checked against the instantaneous bound of its generation segment. `O`
+/// is the structure's removal order ([`Lifo`] for the stack, [`Fifo`] for
+/// the queue).
 ///
 /// # Panics
 ///
 /// Panics if the segment checker finds a violation — that is a correctness
 /// bug, not a measurement artefact.
-pub fn run_quality(spec: &ElasticSpec) -> (SegmentReport, Vec<RetuneEvent>) {
-    run_quality_with_recorder(spec, None)
-}
-
-/// [`run_quality`] with an optional telemetry recorder attached to the
-/// elastic stack (controller decision spans and sampled op latencies flow
-/// into it).
-///
-/// # Panics
-///
-/// Panics if the segment checker finds a violation, like [`run_quality`].
-pub fn run_quality_with_recorder(
-    spec: &ElasticSpec,
-    recorder: Option<&Arc<dyn Recorder>>,
-) -> (SegmentReport, Vec<RetuneEvent>) {
-    // Builder-constructed managed mode: the guard owns the controller
-    // thread; no Arc/spawn/stop wiring at the call site.
-    let mut builder = Stack2D::<stack2d_quality::Label>::builder()
-        .params(spec.elastic_start())
-        .elastic_capacity(spec.capacity);
-    if let Some(r) = recorder {
-        builder = builder.recorder(Arc::clone(r));
-    }
-    let stack = builder
-        .adaptive(AimdController::new(spec.max_k), Duration::from_micros(spec.cadence_us))
-        .expect("elastic_start params are valid");
-    let initial = stack.window();
-    let measured = MeasuredElastic::new(&stack);
+fn run_quality<O: Order, S>(target: Managed<S>, seed: u64, spec: &ElasticSpec) -> SegmentReport
+where
+    S: ElasticTarget + RelaxedOps<Label> + 'static,
+{
+    let initial = target.window();
+    let measured = Measured::<S, O>::elastic(&target);
     let threads = spec.threads.clamp(1, 4);
     let workload = spec.workload();
     std::thread::scope(|scope| {
@@ -314,9 +309,9 @@ pub fn run_quality_with_recorder(
             let measured = &measured;
             let workload = &workload;
             scope.spawn(move || {
-                let mut h = measured.handle_seeded(0xCAFE + t as u64);
+                let mut h = measured.handle_seeded(seed + t as u64);
                 // Decorrelated from the handle RNG (same seed otherwise).
-                let mut rng = HopRng::seeded((0xCAFE + t as u64) ^ 0x5851_F42D_4C95_7F2D);
+                let mut rng = HopRng::seeded((seed + t as u64) ^ 0x5851_F42D_4C95_7F2D);
                 for phase in workload.phases() {
                     let ops_per_phase = (phase.ops / 4).max(250);
                     for _ in 0..ops_per_phase {
@@ -337,14 +332,15 @@ pub fn run_quality_with_recorder(
     let records = measured.take_records();
     let oracle_len = measured.oracle_len();
     drop(measured);
-    let events = stack.stop();
+    let name = target.target_name();
+    let events = target.stop();
     let bounds = bounds_map(initial, events.iter().map(|e| (e.generation, e.k_bound)));
     let report = match check_segments(&records, &bounds) {
         Ok(r) => r,
-        Err(v) => panic!("elastic quality violation: {v}"),
+        Err(v) => panic!("elastic {name} quality violation: {v}"),
     };
     assert_eq!(oracle_len, 0, "drained run must empty the oracle");
-    (report, events)
+    report
 }
 
 /// Folds per-repeat phase measurements into one row per phase: median
@@ -383,10 +379,7 @@ pub fn run_with_recorder(
         let per_repeat: Vec<Vec<PhasePoint>> = (0..spec.repeats.max(1))
             .map(|_| {
                 let stack: Stack2D<u64> = Stack2D::new(*params);
-                phase_points(label, &stack, spec, || {
-                    let w = stack.window();
-                    (w.width(), w.pop_width(), w.k_bound(), w.generation())
-                })
+                phase_points(label, &stack, spec)
             })
             .collect();
         points.extend(medianize(per_repeat));
@@ -394,19 +387,8 @@ pub fn run_with_recorder(
     let mut events = Vec::new();
     let per_repeat: Vec<Vec<PhasePoint>> = (0..spec.repeats.max(1))
         .map(|_| {
-            let mut builder = Stack2D::<u64>::builder()
-                .params(spec.elastic_start())
-                .elastic_capacity(spec.capacity);
-            if let Some(r) = recorder {
-                builder = builder.recorder(Arc::clone(r));
-            }
-            let stack = builder
-                .adaptive(AimdController::new(spec.max_k), Duration::from_micros(spec.cadence_us))
-                .expect("elastic_start params are valid");
-            let repeat_points = phase_points("elastic", &*stack, spec, || {
-                let w = stack.window();
-                (w.width(), w.pop_width(), w.k_bound(), w.generation())
-            });
+            let stack = elastic_stack(spec, recorder);
+            let repeat_points = phase_points("elastic", &*stack, spec);
             // The width-over-time series comes from the last repeat.
             events = stack.stop();
             repeat_points
@@ -433,7 +415,7 @@ pub fn run_with_recorder(
         elastic >= worst_preset
     });
 
-    let (quality, _) = run_quality_with_recorder(spec, recorder);
+    let quality = run_quality::<Lifo, _>(elastic_stack(spec, recorder), 0xCAFE, spec);
     ElasticReport { points, events, quality, width_adapted, elastic_beats_worst }
 }
 
@@ -466,82 +448,24 @@ pub struct ElasticQueueReport {
     pub walked_vertical: bool,
 }
 
-/// The oracle-coupled elastic **queue** quality pass: measured workers
-/// churn the bursty mixes while the controller retunes both queue
-/// windows, then every dequeue's out-of-order distance is checked
-/// against the instantaneous bound of its generation segment.
-///
-/// # Panics
-///
-/// Panics if the segment checker finds a violation — that is a
-/// correctness bug, not a measurement artefact.
-pub fn run_queue_quality(spec: &ElasticSpec) -> (SegmentReport, Vec<RetuneEvent>) {
-    run_queue_quality_with_recorder(spec, None)
-}
-
-/// [`run_queue_quality`] with an optional telemetry recorder attached to
-/// the elastic queue.
-///
-/// # Panics
-///
-/// Panics if the segment checker finds a violation, like
-/// [`run_queue_quality`].
-pub fn run_queue_quality_with_recorder(
+/// The managed elastic queue of the queue scenario's timed and quality
+/// runs: the narrowest window, walked by [`queue_controller`] under
+/// [`ElasticSpec::queue_max_k`] within [`ElasticSpec::queue_capacity`].
+fn elastic_queue(
     spec: &ElasticSpec,
     recorder: Option<&Arc<dyn Recorder>>,
-) -> (SegmentReport, Vec<RetuneEvent>) {
-    let budget = spec.queue_max_k();
-    // The acceptance shape of the managed API: the guard comes straight
-    // off the queue builder and owns the controller thread.
-    let mut builder = Queue2D::<stack2d_quality::Label>::builder()
-        .params(spec.elastic_start())
-        .elastic_capacity(spec.queue_capacity());
+) -> Managed<Queue2D<u64>> {
+    let mut builder =
+        Queue2D::builder().params(spec.elastic_start()).elastic_capacity(spec.queue_capacity());
     if let Some(r) = recorder {
         builder = builder.recorder(Arc::clone(r));
     }
-    let queue = builder
-        .adaptive(queue_controller(budget), Duration::from_micros(spec.queue_cadence_us()))
-        .expect("elastic_start params are valid");
-    let initial = queue.window();
-    let measured = MeasuredElasticQueue::new(&queue);
-    let threads = spec.threads.clamp(1, 4);
-    let workload = spec.workload();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let measured = &measured;
-            let workload = &workload;
-            scope.spawn(move || {
-                let mut h = measured.handle_seeded(0xBEEF + t as u64);
-                // Decorrelated from the handle RNG (same seed otherwise).
-                let mut rng = HopRng::seeded((0xBEEF + t as u64) ^ 0x5851_F42D_4C95_7F2D);
-                for phase in workload.phases() {
-                    let ops_per_phase = (phase.ops / 4).max(250);
-                    for _ in 0..ops_per_phase {
-                        if phase.mix.next_is_push(&mut rng) {
-                            h.enqueue();
-                        } else {
-                            h.dequeue();
-                        }
-                    }
-                }
-            });
-        }
-    });
-    // Drain through the measurement so every label's distance is checked.
-    let mut h = measured.handle();
-    while h.dequeue() {}
-    drop(h);
-    let records = measured.take_records();
-    let oracle_len = measured.oracle_len();
-    drop(measured);
-    let events = queue.stop();
-    let bounds = bounds_map(initial, events.iter().map(|e| (e.generation, e.k_bound)));
-    let report = match check_segments(&records, &bounds) {
-        Ok(r) => r,
-        Err(v) => panic!("elastic queue quality violation: {v}"),
-    };
-    assert_eq!(oracle_len, 0, "drained run must empty the oracle");
-    (report, events)
+    builder
+        .adaptive(
+            queue_controller(spec.queue_max_k()),
+            Duration::from_micros(spec.queue_cadence_us()),
+        )
+        .expect("elastic_start params are valid")
 }
 
 /// Runs the elastic **queue** scenario: the AIMD controller (under the
@@ -559,25 +483,13 @@ pub fn run_queue_with_recorder(
     spec: &ElasticSpec,
     recorder: Option<&Arc<dyn Recorder>>,
 ) -> ElasticQueueReport {
-    let budget = spec.queue_max_k();
     let mut events = Vec::new();
     let per_repeat: Vec<Vec<PhasePoint>> = (0..spec.repeats.max(1))
         .map(|_| {
             // Queue2D implements RelaxedOps directly, so the phased driver
             // runs it unchanged — no stack-shaped adapter needed.
-            let mut builder = Queue2D::<u64>::builder()
-                .params(spec.elastic_start())
-                .elastic_capacity(spec.queue_capacity());
-            if let Some(r) = recorder {
-                builder = builder.recorder(Arc::clone(r));
-            }
-            let queue = builder
-                .adaptive(queue_controller(budget), Duration::from_micros(spec.queue_cadence_us()))
-                .expect("elastic_start params are valid");
-            let repeat_points = phase_points("elastic-queue", &*queue, spec, || {
-                let w = queue.window();
-                (w.width(), w.pop_width(), w.k_bound(), w.generation())
-            });
+            let queue = elastic_queue(spec, recorder);
+            let repeat_points = phase_points("elastic-queue", &*queue, spec);
             // The trajectory series comes from the most recent repeat,
             // except that a log showing the vertical walk — the event the
             // scenario exists to record, and a wall-clock-dependent one —
@@ -594,7 +506,7 @@ pub fn run_queue_with_recorder(
     let width_adapted =
         events.iter().any(|e| matches!(e.kind, RetuneKind::Grow | RetuneKind::Shrink));
     let walked_vertical = events.iter().any(|e| e.kind == RetuneKind::Vertical);
-    let (quality, _) = run_queue_quality_with_recorder(spec, recorder);
+    let quality = run_quality::<Fifo, _>(elastic_queue(spec, recorder), 0xBEEF, spec);
     ElasticQueueReport { points, events, quality, width_adapted, walked_vertical }
 }
 

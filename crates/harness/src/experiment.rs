@@ -18,7 +18,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use stack2d::RelaxedOps;
-use stack2d_quality::ErrorSummary;
+use stack2d_quality::{ErrorSummary, MeasuredStack};
 use stack2d_workload::{run_throughput, OpMix, RunConfig};
 
 use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
@@ -113,7 +113,7 @@ pub fn measure_stack<S: RelaxedOps<u64>>(
     let mut point = measure_relaxed(label, &build, threads, settings, mix);
     let stack = build();
     point.quality = run_quality(
-        &stack,
+        &MeasuredStack::new(&stack),
         &QualityConfig {
             threads,
             ops_per_thread: settings.quality_ops / threads.max(1),
@@ -131,7 +131,7 @@ pub fn measure_stack<S: RelaxedOps<u64>>(
 /// structure-specific (FIFO overtakes for queues, spread for counters), so
 /// the returned point carries an empty [`ErrorSummary`]; callers with a
 /// quality oracle overwrite it (e.g. via
-/// [`run_queue_overtakes`](crate::quality_run::run_queue_overtakes)).
+/// [`run_quality`] over a [`MeasuredQueue`](stack2d_quality::MeasuredQueue)).
 pub fn measure_relaxed<S: RelaxedOps<u64>>(
     label: &str,
     build: impl Fn() -> S,

@@ -22,12 +22,12 @@ use serde::{Deserialize, Serialize};
 
 use stack2d::sync::Arc;
 use stack2d::{Counter2D, Params, Queue2D, Recorder};
-use stack2d_quality::ErrorSummary;
+use stack2d_quality::{ErrorSummary, MeasuredQueue};
 use stack2d_workload::{run_fixed_ops, OpMix};
 
 use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
 use crate::experiment::{measure_relaxed, DataPoint, Settings};
-use crate::quality_run::{run_queue_overtakes, QualityConfig};
+use crate::quality_run::{run_quality, QualityConfig};
 use crate::report::{fmt_ops, Table};
 
 /// Parameters of the Figure 3 sweeps.
@@ -131,8 +131,8 @@ pub fn run_queue_quality_with_recorder(
             }
             let queue: Queue2D<u64> = builder.build().expect("for_bound params are valid");
             let bound = queue.k_bound();
-            let quality = run_queue_overtakes(
-                &queue,
+            let quality = run_quality(
+                &MeasuredQueue::new(&queue),
                 &QualityConfig {
                     threads: spec.threads,
                     ops_per_thread: settings.quality_ops / spec.threads.max(1),

@@ -43,7 +43,7 @@ pub use algorithms::{
     AblationVariant, Algorithm, AnyRelaxed, AnyRelaxedHandle, BuildSpec, StructureKind,
 };
 pub use experiment::{measure, measure_relaxed, measure_stack, DataPoint, Settings};
-pub use quality_run::{run_quality, run_queue_overtakes, QualityConfig};
+pub use quality_run::{run_quality, QualityConfig};
 pub use report::{fmt_ops, Table};
 pub use telemetry::TelemetrySession;
 

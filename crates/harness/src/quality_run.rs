@@ -1,15 +1,16 @@
 //! Measured (quality) runs: the paper's §4 accuracy experiments.
 //!
-//! A quality run couples the stack under test with the
-//! [`stack2d_quality::MeasuredStack`] oracle: every push
-//! inserts a fresh label into the side list and every pop reports its error
-//! distance from the head. As in the paper, quality runs are separate from
-//! throughput runs (the oracle's serialization would distort timing).
+//! A quality run couples the structure under test with the side list of a
+//! [`stack2d_quality::Measured`] coupler: every push inserts a fresh label
+//! into the side list and every pop reports its error distance — the rank
+//! from the head for a [`MeasuredStack`](stack2d_quality::MeasuredStack),
+//! the overtake count for a [`MeasuredQueue`](stack2d_quality::MeasuredQueue).
+//! As in the paper, quality runs are separate from throughput runs (the
+//! oracle's serialization would distort timing).
 
 use stack2d::rng::HopRng;
-use stack2d::{Queue2D, RelaxedOps};
-use stack2d_quality::segmented_queue::MeasuredElasticQueue;
-use stack2d_quality::{ErrorStats, Label, MeasuredStack};
+use stack2d::RelaxedOps;
+use stack2d_quality::{ErrorStats, Label, Measured, Order};
 use stack2d_workload::OpMix;
 
 /// Configuration of one quality run.
@@ -39,17 +40,17 @@ impl Default for QualityConfig {
     }
 }
 
-/// Runs the measured workload against `stack`, returning the per-pop error
-/// distances.
-pub fn run_quality<S: RelaxedOps<Label>>(stack: &S, cfg: &QualityConfig) -> ErrorStats {
+/// Runs the measured workload through `measured`, returning the per-pop
+/// error distances (prefill removals are not part of the measurement).
+pub fn run_quality<S: RelaxedOps<Label>, O: Order>(
+    measured: &Measured<'_, S, O>,
+    cfg: &QualityConfig,
+) -> ErrorStats {
     assert!(cfg.threads > 0, "at least one thread required");
-    let measured = MeasuredStack::new(stack);
     measured.prefill(cfg.prefill);
-    // Prefill distances are not part of the measurement.
     let _ = measured.take_stats();
     std::thread::scope(|scope| {
         for t in 0..cfg.threads {
-            let measured = &measured;
             scope.spawn(move || {
                 // Seeded through the trait: deterministic for every
                 // algorithm that supports it, no concrete-type plumbing.
@@ -70,46 +71,12 @@ pub fn run_quality<S: RelaxedOps<Label>>(stack: &S, cfg: &QualityConfig) -> Erro
     measured.take_stats()
 }
 
-/// The queue analogue of [`run_quality`]: drives the measured workload
-/// against a [`Queue2D`], reporting every dequeue's **overtake distance**
-/// (how many older resident items it jumped; 0 = strict FIFO) through the
-/// [`FifoOracle`](stack2d_quality::segmented_queue::FifoOracle). Used by
-/// the `fig3` sweep and the queue ablations.
-pub fn run_queue_overtakes(queue: &Queue2D<Label>, cfg: &QualityConfig) -> ErrorStats {
-    assert!(cfg.threads > 0, "at least one thread required");
-    let measured = MeasuredElasticQueue::new(queue);
-    measured.prefill(cfg.prefill);
-    // Prefill distances are not part of the measurement.
-    let _ = measured.take_records();
-    std::thread::scope(|scope| {
-        for t in 0..cfg.threads {
-            let measured = &measured;
-            scope.spawn(move || {
-                let mut h = measured.handle_seeded(cfg.seed.wrapping_add(t as u64 + 1));
-                // Decorrelated from the handle RNG (same seed otherwise).
-                let mut rng =
-                    HopRng::seeded(cfg.seed.wrapping_add(t as u64 + 1) ^ 0x5851_F42D_4C95_7F2D);
-                for _ in 0..cfg.ops_per_thread {
-                    if cfg.mix.next_is_push(&mut rng) {
-                        h.enqueue();
-                    } else {
-                        h.dequeue();
-                    }
-                }
-            });
-        }
-    });
-    let mut stats = ErrorStats::new();
-    for record in measured.take_records() {
-        stats.record(record.distance);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::{Algorithm, AnyRelaxed, BuildSpec, StructureKind};
+    use stack2d::Queue2D;
+    use stack2d_quality::{MeasuredQueue, MeasuredStack};
 
     fn stack(algo: Algorithm, spec: BuildSpec) -> AnyRelaxed {
         AnyRelaxed::build(StructureKind::Stack(algo), spec)
@@ -120,7 +87,7 @@ mod tests {
     fn treiber_quality_is_exact() {
         let stack = TreiberStack::new();
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 2_000,
@@ -137,7 +104,7 @@ mod tests {
         let stack = stack(Algorithm::TwoD, BuildSpec::with_k(1, 60));
         let bound = stack.relaxation_bound().unwrap();
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 5_000,
@@ -165,16 +132,16 @@ mod tests {
             ..Default::default()
         };
         let strict = stack(Algorithm::TwoD, BuildSpec::with_k(1, 0));
-        let strict_stats = run_quality(&strict, &cfg);
+        let strict_stats = run_quality(&MeasuredStack::new(&strict), &cfg);
         assert_eq!(strict_stats.max(), 0, "k=0 must measure perfectly strict");
 
         let narrow = stack(Algorithm::TwoD, BuildSpec::with_k(1, 3));
-        let narrow_stats = run_quality(&narrow, &cfg);
+        let narrow_stats = run_quality(&MeasuredStack::new(&narrow), &cfg);
         assert!(narrow_stats.max() <= 3, "k=3 configuration measured {} > 3", narrow_stats.max());
 
         let wide = stack(Algorithm::TwoD, BuildSpec::with_k(1, 3_000));
         let bound = wide.relaxation_bound().unwrap();
-        let wide_stats = run_quality(&wide, &cfg);
+        let wide_stats = run_quality(&MeasuredStack::new(&wide), &cfg);
         assert!(
             (wide_stats.max() as usize) <= bound,
             "k=3000 configuration measured {} > bound {bound}",
@@ -190,8 +157,8 @@ mod tests {
     #[test]
     fn queue_overtakes_strict_width_one_is_exact() {
         let queue: Queue2D<Label> = Queue2D::builder().width(1).build().unwrap();
-        let stats = run_queue_overtakes(
-            &queue,
+        let stats = run_quality(
+            &MeasuredQueue::new(&queue),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 2_000,
@@ -207,8 +174,8 @@ mod tests {
     fn queue_overtakes_respect_the_window_bound_single_thread() {
         let queue: Queue2D<Label> = Queue2D::builder().for_bound(60).build().unwrap();
         let bound = queue.k_bound();
-        let stats = run_queue_overtakes(
-            &queue,
+        let stats = run_quality(
+            &MeasuredQueue::new(&queue),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 5_000,
@@ -228,7 +195,7 @@ mod tests {
         for algo in Algorithm::ALL {
             let stack = stack(algo, BuildSpec::high_throughput(2));
             let stats = run_quality(
-                &stack,
+                &MeasuredStack::new(&stack),
                 &QualityConfig {
                     threads: 2,
                     ops_per_thread: 2_000,

@@ -36,7 +36,8 @@ pub struct LoadSpec {
     pub tenants: usize,
     /// Requests pipelined per frame.
     pub depth: usize,
-    /// Frames sent per connection.
+    /// Frames sent per connection. The default, 2000, makes a round last
+    /// long enough that thread start-up is a small share of it.
     pub frames: usize,
     /// Zipf skew for tenant choice (0 = uniform).
     pub zipf: f64,
@@ -58,7 +59,7 @@ impl Default for LoadSpec {
             conns: 4,
             tenants: 2,
             depth: 16,
-            frames: 200,
+            frames: 2_000,
             zipf: 0.9,
             rate: 0.0,
             seed: 0x5EED_2D2D,

@@ -11,6 +11,7 @@ use std::time::Duration;
 use stack2d::{Params, Stack2D};
 use stack2d_harness::{fmt_ops, Table};
 use stack2d_harness::{run_quality, QualityConfig};
+use stack2d_quality::MeasuredStack;
 use stack2d_workload::{run_throughput, OpMix, RunConfig};
 
 fn main() {
@@ -44,7 +45,7 @@ fn main() {
             .build()
             .expect("preset is valid");
         let quality = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads,
                 ops_per_thread: 10_000,

@@ -7,7 +7,8 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use stack2d::{Params, Stack2D};
-use stack2d_quality::segmented::{bounds_map, check_segments, MeasuredElastic};
+use stack2d_quality::segmented::{bounds_map, check_segments};
+use stack2d_quality::MeasuredStack;
 
 const CAPACITY: usize = 12;
 
@@ -41,7 +42,7 @@ proptest! {
     ) {
         let stack = Stack2D::builder().params(Params::new(1, 1, 1).unwrap()).elastic_capacity(CAPACITY).build().unwrap();
         let initial = stack.window();
-        let measured = MeasuredElastic::new(&stack);
+        let measured = MeasuredStack::elastic(&stack);
         let mut events = Vec::new();
         let mut h = measured.handle();
         for step in &schedule {

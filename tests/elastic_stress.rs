@@ -8,10 +8,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use stack2d::{Counter2D, Params, Queue2D, Stack2D};
-use stack2d_adaptive::{AimdController, ElasticRunner, RetuneKind};
-use stack2d_quality::segmented::{bounds_map, check_segments, MeasuredElastic};
-use stack2d_quality::segmented_queue::MeasuredElasticQueue;
+use stack2d::{Counter2D, ElasticTarget, Params, Queue2D, RelaxedOps, Stack2D};
+use stack2d_adaptive::{AimdController, ElasticRunner, RetuneEvent, RetuneKind};
+use stack2d_quality::segmented::{bounds_map, check_segments};
+use stack2d_quality::{Fifo, Label, Lifo, Measured, Order};
 
 fn p(w: usize, d: usize, s: usize) -> Params {
     Params::new(w, d, s).unwrap()
@@ -81,25 +81,30 @@ fn eight_thread_churn_with_midflight_retunes_conserves_items() {
     eprintln!("stress: {commits} shrink commits, final window {}", stack.window());
 }
 
-/// Eight measured threads churn under a live AIMD controller; every pop's
-/// error distance must stay within the instantaneous bound of its
-/// generation segment.
-#[test]
-fn measured_churn_under_live_controller_respects_segment_bounds() {
-    const THREADS: usize = 8;
+/// `threads` measured threads churn `target` (narrowest window, elastic)
+/// under a live AIMD controller with relaxation budget `budget`; every
+/// measured removal must stay within the instantaneous bound of its
+/// generation segment. Returns the controller's retune log.
+fn measured_churn_under_live_controller<S, O>(
+    target: Arc<S>,
+    threads: usize,
+    budget: usize,
+) -> Vec<RetuneEvent>
+where
+    S: RelaxedOps<Label> + ElasticTarget + 'static,
+    O: Order,
+{
     const PER_THREAD: usize = 3_000;
-    let stack =
-        Arc::new(Stack2D::builder().params(p(1, 1, 1)).elastic_capacity(16).build().unwrap());
-    let initial = stack.window();
-    let measured = MeasuredElastic::new(&stack);
+    let initial = target.window();
+    let measured = Measured::<S, O>::elastic(&target);
     let runner = ElasticRunner::spawn_with_budget(
-        Arc::clone(&stack),
-        AimdController::new(45),
+        Arc::clone(&target),
+        AimdController::new(budget),
         Duration::from_micros(300),
-        45,
+        budget,
     );
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
+        for t in 0..threads {
             let measured = &measured;
             scope.spawn(move || {
                 let mut h = measured.handle();
@@ -119,15 +124,27 @@ fn measured_churn_under_live_controller_respects_segment_bounds() {
     while h.pop() {}
     let events = runner.stop();
     let bounds = bounds_map(initial, events.iter().map(|e| (e.generation, e.k_bound)));
-    let report = check_segments(&measured.take_records(), &bounds)
-        .unwrap_or_else(|v| panic!("segment bound violated under live controller: {v}"));
-    assert!(report.pops > 1_000, "too few measured pops: {}", report.pops);
+    let report = check_segments(&measured.take_records(), &bounds).unwrap_or_else(|v| {
+        panic!("{} segment bound violated under live controller: {v}", target.name())
+    });
+    assert!(report.pops > 1_000, "too few measured removals: {}", report.pops);
     assert_eq!(measured.oracle_len(), 0);
     for e in &events {
-        assert!(e.k_bound <= 45, "configured bound must respect the budget: {e:?}");
-        if e.kind == RetuneKind::Commit {
-            assert!(!matches!(e.pop_width, w if w > e.width), "commit closes the pop span");
-        }
+        assert!(e.k_bound <= budget, "configured bound must respect the budget: {e:?}");
+    }
+    events
+}
+
+/// Eight measured threads churn under a live AIMD controller; every pop's
+/// error distance must stay within the instantaneous bound of its
+/// generation segment.
+#[test]
+fn measured_churn_under_live_controller_respects_segment_bounds() {
+    let stack =
+        Arc::new(Stack2D::builder().params(p(1, 1, 1)).elastic_capacity(16).build().unwrap());
+    let events = measured_churn_under_live_controller::<_, Lifo>(stack, 8, 45);
+    for e in events.iter().filter(|e| e.kind == RetuneKind::Commit) {
+        assert!(e.pop_width <= e.width, "commit closes the pop span: {e:?}");
     }
 }
 
@@ -229,51 +246,14 @@ fn eight_thread_counter_churn_with_midflight_retunes_conserves_value() {
     eprintln!("counter stress: {commits} shrink commits, final window {}", c.window());
 }
 
-/// Four measured threads churn a queue under a live AIMD controller;
-/// every dequeue's out-of-order distance must stay within the
-/// instantaneous bound of its generation segment.
+/// Four measured threads churn a queue under a live AIMD controller (with
+/// vertical-walk headroom in the budget); every dequeue's out-of-order
+/// distance must stay within the instantaneous bound of its generation
+/// segment.
 #[test]
 fn measured_queue_churn_under_live_controller_respects_segment_bounds() {
-    const THREADS: usize = 4;
-    const PER_THREAD: usize = 3_000;
-    const BUDGET: usize = 84;
     let q = Arc::new(Queue2D::builder().params(p(1, 1, 1)).elastic_capacity(8).build().unwrap());
-    let initial = q.window();
-    let measured = MeasuredElasticQueue::new(&q);
-    let runner = ElasticRunner::spawn_with_budget(
-        Arc::clone(&q),
-        AimdController::new(BUDGET),
-        Duration::from_micros(300),
-        BUDGET,
-    );
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let measured = &measured;
-            scope.spawn(move || {
-                let mut h = measured.handle();
-                // Bursty: runs of enqueues then runs of dequeues, so the
-                // controller sees real pressure swings.
-                for i in 0..PER_THREAD {
-                    if (i / 64) % 2 == (t % 2) {
-                        h.enqueue();
-                    } else {
-                        h.dequeue();
-                    }
-                }
-            });
-        }
-    });
-    let mut h = measured.handle();
-    while h.dequeue() {}
-    let events = runner.stop();
-    let bounds = bounds_map(initial, events.iter().map(|e| (e.generation, e.k_bound)));
-    let report = check_segments(&measured.take_records(), &bounds)
-        .unwrap_or_else(|v| panic!("queue segment bound violated under live controller: {v}"));
-    assert!(report.pops > 1_000, "too few measured dequeues: {}", report.pops);
-    assert_eq!(measured.oracle_len(), 0);
-    for e in &events {
-        assert!(e.k_bound <= BUDGET, "configured bound must respect the budget: {e:?}");
-    }
+    measured_churn_under_live_controller::<_, Fifo>(q, 4, 84);
 }
 
 /// A stopped runner leaves the stack fully usable and its final window

@@ -9,7 +9,7 @@ use stack2d::{OpsHandle, RelaxedOps};
 use stack2d_harness::{
     run_quality, Algorithm, AnyRelaxed, BuildSpec, QualityConfig, StructureKind,
 };
-use stack2d_quality::{MeasuredStack, NaiveOracle, Oracle};
+use stack2d_quality::{Lifo, MeasuredStack, NaiveOracle, Oracle};
 use stack2d_workload::OpMix;
 
 proptest! {
@@ -20,7 +20,7 @@ proptest! {
     #[test]
     fn oracles_agree(ops in proptest::collection::vec(any::<u8>(), 1..400)) {
         let mut fast = Oracle::new();
-        let mut naive = NaiveOracle::new();
+        let mut naive = NaiveOracle::<Lifo>::new();
         let mut live: Vec<u64> = Vec::new();
         let mut next = 0u64;
         for op in ops {
@@ -44,7 +44,7 @@ fn strict_algorithms_measure_zero_error_single_thread() {
     for algo in [Algorithm::Treiber, Algorithm::Elimination] {
         let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(1));
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 5_000,
@@ -65,7 +65,7 @@ fn two_d_error_stays_under_bound_single_thread() {
             AnyRelaxed::build(StructureKind::Stack(Algorithm::TwoD), BuildSpec::with_k(1, k));
         let bound = stack.relaxation_bound().unwrap();
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 10_000,
@@ -90,7 +90,7 @@ fn relaxation_quality_ordering_across_algorithms() {
         let bound = stack.relaxation_bound();
         let prefill = 1_024usize;
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 1,
                 ops_per_thread: 8_000,
@@ -156,7 +156,7 @@ fn quality_runs_complete_for_every_algorithm_concurrently() {
     for algo in Algorithm::ALL {
         let stack = AnyRelaxed::build(StructureKind::Stack(algo), BuildSpec::high_throughput(3));
         let stats = run_quality(
-            &stack,
+            &MeasuredStack::new(&stack),
             &QualityConfig {
                 threads: 3,
                 ops_per_thread: 1_500,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use stack2d::{Params, Queue2D};
 use stack2d_quality::segmented::{bounds_map, check_segments};
-use stack2d_quality::segmented_queue::MeasuredElasticQueue;
+use stack2d_quality::MeasuredQueue;
 
 #[test]
 fn concurrent_storm_conserves_items() {
@@ -252,16 +252,16 @@ proptest! {
     ) {
         let q = Queue2D::builder().params(Params::new(1, 1, 1).unwrap()).elastic_capacity(8).build().unwrap();
         let initial = q.window();
-        let measured = MeasuredElasticQueue::new(&q);
+        let measured = MeasuredQueue::elastic(&q);
         let mut events = Vec::new();
         let mut h = measured.handle();
         let chunk = plan.len().div_ceil(schedule.len());
         for (ops, &(width, depth)) in plan.chunks(chunk).zip(schedule.iter()) {
             for &is_enq in ops {
                 if is_enq {
-                    h.enqueue();
+                    h.push();
                 } else {
-                    h.dequeue();
+                    h.pop();
                 }
             }
             let info = q.retune(Params::new(width, depth, depth).unwrap()).unwrap();
@@ -270,7 +270,7 @@ proptest! {
                 events.push((info.generation(), info.k_bound()));
             }
         }
-        while h.dequeue() {}
+        while h.pop() {}
         let bounds = bounds_map(initial, events);
         let report = check_segments(&measured.take_records(), &bounds)
             .map_err(|v| TestCaseError::fail(format!("segment violation: {v}")))?;
